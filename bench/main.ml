@@ -2,8 +2,8 @@
     paper's evaluation (see DESIGN.md's experiment index), plus ablations
     and an online-upgrade measurement, on the simulated machine.
 
-      main.exe               — run everything
-      main.exe fig2|fig3|fig4|table1..table6|readahead|scaling|server|coldstart|ablate|upgrade
+      main.exe               — run everything (same as main.exe all)
+      main.exe fig2|fig3|fig4|table1..table6|readahead|scaling|server|coldstart|ablate|upgrade|pushdown
       main.exe scaling --scaling-fibers 1,8,32 — throughput vs fiber count
       main.exe server --server-clients 10,100,1000 — multi-tenant file server
       main.exe coldstart --coldstart-tenants 10,100,1000 — CAS tenant trees
@@ -32,6 +32,7 @@ let folded_path : string option ref = ref None
 let dur () = Sim.Time.of_float_ns (!duration *. 1e9)
 
 let pf = Printf.printf
+let spf = Printf.sprintf
 
 let header title =
   pf "\n=== %s ===\n%!" title
@@ -180,52 +181,48 @@ let read_configs = [ ("seq", Workloads.Micro.Seq, 1); ("seq", Workloads.Micro.Se
                      ("rnd", Workloads.Micro.Rnd, 1); ("rnd", Workloads.Micro.Rnd, 32) ]
 
 let run_read system ~iosize ~pattern ~nthreads =
-  Targets.run system (fun _machine os ->
+  Targets.run system (fun os ->
       Workloads.Micro.read_bench os ~iosize ~pattern ~nthreads
         ~duration:(dur ()) ~file_mb:128 ~seed:!seed)
 
-let fig2 () =
-  header "Figure 2: Read performance (4KB), ops/sec (x1000)";
-  pf "%-10s" "config";
-  List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
+(* A systems x configs table: a header row of system names, then one row
+   per element of [rows], whose cells [cell row sys] measure (and record)
+   one run each and return the formatted value. *)
+let grid ?(width = 10) ?(colw = 12) ?(systems = Targets.all_xv6) ~corner
+    ~label ~cell rows =
+  pf "%-*s" width corner;
+  List.iter (fun s -> pf "%*s" colw (Targets.system_name s)) systems;
   pf "\n";
   List.iter
-    (fun (pname, pattern, nthreads) ->
-      pf "%-10s" (Printf.sprintf "%s-%dt" pname nthreads);
-      List.iter
-        (fun sys ->
-          let r = run_read sys ~iosize:4096 ~pattern ~nthreads in
-          record ~section:"fig2" ~system:sys
-            ~config:(Printf.sprintf "read-%s-4k-%dt" pname nthreads)
-            r;
-          pf "%12.1f" (Workloads.Bench_result.ops_per_sec r /. 1000.))
-        Targets.all_xv6;
+    (fun row ->
+      pf "%-*s" width (label row);
+      List.iter (fun sys -> pf "%*s" colw (cell row sys)) systems;
       pf "\n%!")
-    read_configs
+    rows
+
+let config_label (pname, _, nthreads) = spf "%s-%dt" pname nthreads
+
+let fig2 () =
+  header "Figure 2: Read performance (4KB), ops/sec (x1000)";
+  grid ~corner:"config" ~label:config_label read_configs
+    ~cell:(fun (pname, pattern, nthreads) sys ->
+      let r = run_read sys ~iosize:4096 ~pattern ~nthreads in
+      record ~section:"fig2" ~system:sys
+        ~config:(spf "read-%s-4k-%dt" pname nthreads) r;
+      spf "%.1f" (Workloads.Bench_result.ops_per_sec r /. 1000.))
 
 let fig3 () =
   header "Figure 3: Read performance (32KB-1024KB), MBps (x1000)";
   List.iter
     (fun iosize ->
       pf "-- reads (%dKB) --\n" (iosize / 1024);
-      pf "%-10s" "config";
-      List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
-      pf "\n";
-      List.iter
-        (fun (pname, pattern, nthreads) ->
-          pf "%-10s" (Printf.sprintf "%s-%dt" pname nthreads);
-          List.iter
-            (fun sys ->
-              let r = run_read sys ~iosize ~pattern ~nthreads in
-              record ~section:"fig3" ~system:sys
-                ~config:
-                  (Printf.sprintf "read-%s-%dk-%dt" pname (iosize / 1024)
-                     nthreads)
-                r;
-              pf "%12.2f" (Workloads.Bench_result.mbps r /. 1000.))
-            Targets.all_xv6;
-          pf "\n%!")
-        read_configs)
+      grid ~corner:"config" ~label:config_label read_configs
+        ~cell:(fun (pname, pattern, nthreads) sys ->
+          let r = run_read sys ~iosize ~pattern ~nthreads in
+          record ~section:"fig3" ~system:sys
+            ~config:(spf "read-%s-%dk-%dt" pname (iosize / 1024) nthreads)
+            r;
+          spf "%.2f" (Workloads.Bench_result.mbps r /. 1000.)))
     [ 32 * 1024; 128 * 1024; 1024 * 1024 ]
 
 (* ------------------------------------------------------------------ *)
@@ -240,82 +237,42 @@ let fig4 () =
   List.iter
     (fun iosize ->
       pf "-- writes (%dKB) --\n" (iosize / 1024);
-      pf "%-10s" "config";
-      List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
-      pf "\n";
-      List.iter
-        (fun (pname, pattern, nthreads) ->
-          pf "%-10s" (Printf.sprintf "%s-%dt" pname nthreads);
-          List.iter
-            (fun sys ->
-              let r =
-                Targets.run sys (fun _m os ->
-                    Workloads.Micro.write_bench os ~iosize ~pattern ~nthreads
-                      ~duration:(dur ()) ~file_mb:256 ~seed:!seed)
-              in
-              record ~section:"fig4" ~system:sys
-                ~config:
-                  (Printf.sprintf "write-%s-%dk-%dt" pname (iosize / 1024)
-                     nthreads)
-                r;
-              pf "%12.1f" (Workloads.Bench_result.mbps r))
-            Targets.all_xv6;
-          pf "\n%!")
-        write_configs)
+      grid ~corner:"config" ~label:config_label write_configs
+        ~cell:(fun (pname, pattern, nthreads) sys ->
+          let r =
+            Targets.run sys (fun os ->
+                Workloads.Micro.write_bench os ~iosize ~pattern ~nthreads
+                  ~duration:(dur ()) ~file_mb:256 ~seed:!seed)
+          in
+          record ~section:"fig4" ~system:sys
+            ~config:(spf "write-%s-%dk-%dt" pname (iosize / 1024) nthreads)
+            r;
+          spf "%.1f" (Workloads.Bench_result.mbps r)))
     [ 32 * 1024; 128 * 1024; 1024 * 1024 ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 4/5: create / delete.                                          *)
 
+let threads_table ~section ~op bench =
+  grid ~corner:"threads" ~label:string_of_int [ 1; 32 ]
+    ~cell:(fun nthreads sys ->
+      let r = Targets.run sys (bench ~nthreads sys) in
+      record ~section ~system:sys ~config:(spf "%s-%dt" op nthreads) r;
+      spf "%.0f" (Workloads.Bench_result.ops_per_sec r))
+
 let table4 () =
   header "Table 4: Create microbenchmark (ops/sec)";
-  pf "%-10s" "threads";
-  List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
-  pf "\n";
-  List.iter
-    (fun nthreads ->
-      pf "%-10d" nthreads;
-      List.iter
-        (fun sys ->
-          let r =
-            Targets.run sys (fun _m os ->
-                Workloads.Micro.create_bench os ~nthreads ~duration:(dur ())
-                  ~dirwidth:100 ~mean_size:16384 ~seed:!seed)
-          in
-          record ~section:"table4" ~system:sys
-            ~config:(Printf.sprintf "create-%dt" nthreads)
-            r;
-          pf "%12.0f" (Workloads.Bench_result.ops_per_sec r))
-        Targets.all_xv6;
-      pf "\n%!")
-    [ 1; 32 ]
+  threads_table ~section:"table4" ~op:"create" (fun ~nthreads _ os ->
+      Workloads.Micro.create_bench os ~nthreads ~duration:(dur ())
+        ~dirwidth:100 ~mean_size:16384 ~seed:!seed)
 
 let table5 () =
   header "Table 5: Delete microbenchmark (ops/sec)";
-  pf "%-10s" "threads";
-  List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
-  pf "\n";
-  List.iter
-    (fun nthreads ->
-      pf "%-10d" nthreads;
-      List.iter
-        (fun sys ->
-          (* size the fileset so it outlasts the timed window *)
-          let precreate =
-            match sys with Targets.Fuse -> 2_000 | _ -> 40_000
-          in
-          let r =
-            Targets.run sys (fun _m os ->
-                Workloads.Micro.delete_bench os ~nthreads ~duration:(dur ())
-                  ~dirwidth:100 ~precreate ~seed:!seed)
-          in
-          record ~section:"table5" ~system:sys
-            ~config:(Printf.sprintf "delete-%dt" nthreads)
-            r;
-          pf "%12.0f" (Workloads.Bench_result.ops_per_sec r))
-        Targets.all_xv6;
-      pf "\n%!")
-    [ 1; 32 ]
+  threads_table ~section:"table5" ~op:"delete" (fun ~nthreads sys os ->
+      (* size the fileset so it outlasts the timed window *)
+      let precreate = match sys with Stacks.Fuse -> 2_000 | _ -> 40_000 in
+      Workloads.Micro.delete_bench os ~nthreads ~duration:(dur ())
+        ~dirwidth:100 ~precreate ~seed:!seed)
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: macrobenchmarks.                                            *)
@@ -326,32 +283,32 @@ let table6 () =
   List.iter
     (fun sys ->
       let vm =
-        Targets.run sys (fun _m os ->
+        Targets.run sys (fun os ->
             Workloads.Macro.varmail os ~duration:(dur ()) ~seed:!seed ())
       in
       record ~section:"table6" ~system:sys ~config:"varmail" vm;
       let fsv =
-        Targets.run sys (fun _m os ->
+        Targets.run sys (fun os ->
             Workloads.Macro.fileserver os ~duration:(dur ()) ~seed:!seed ())
       in
       record ~section:"table6" ~system:sys ~config:"fileserver" fsv;
       let untar_manifest =
         Workloads.Macro.linux_tree_manifest
-          ~nfiles:(match sys with Targets.Fuse -> !untar_files / 10 | _ -> !untar_files)
-          ~ndirs:(match sys with Targets.Fuse -> 420 | _ -> 4200)
+          ~nfiles:(match sys with Stacks.Fuse -> !untar_files / 10 | _ -> !untar_files)
+          ~ndirs:(match sys with Stacks.Fuse -> 420 | _ -> 4200)
           ~seed:!seed ()
       in
       let ut =
-        Targets.run ~disk_blocks:(3 * 1024 * 1024) sys (fun _m os ->
+        Targets.run ~disk_blocks:(3 * 1024 * 1024) sys (fun os ->
             Workloads.Macro.untar os untar_manifest)
       in
       record ~section:"table6" ~system:sys ~config:"untar" ut;
-      let scale = match sys with Targets.Fuse -> 10. | _ -> 1. in
+      let scale = match sys with Stacks.Fuse -> 10. | _ -> 1. in
       pf "%-12s %12.0f %12.0f %12.1f\n%!" (Targets.system_name sys)
         (Workloads.Bench_result.ops_per_sec vm)
         (Workloads.Bench_result.ops_per_sec fsv)
         (Workloads.Bench_result.elapsed_sec ut *. scale))
-    Targets.all_with_ext4;
+    Stacks.all;
   pf "(FUSE untar runs a 1/10-size tree; the reported seconds are scaled x10)\n"
 
 (* ------------------------------------------------------------------ *)
@@ -365,31 +322,25 @@ let readahead_section () =
        "Seqread-cold: cold page cache, sequential 4KB reads of a %dMB file \
         (MBps)"
        seqread_cold_mb);
-  pf "%-14s" "config";
-  List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_with_ext4;
-  pf "\n";
-  pf "%-14s" "seqread-cold";
   let bento_on = ref None in
-  List.iter
-    (fun sys ->
+  grid ~width:14 ~systems:Stacks.all ~corner:"config" ~label:Fun.id
+    [ "seqread-cold" ] ~cell:(fun _ sys ->
       let r =
-        Targets.run sys (fun _m os ->
+        Targets.run sys (fun os ->
             Workloads.Micro.seqread_cold_bench os ~iosize:4096
               ~file_mb:seqread_cold_mb)
       in
       record ~section:"readahead" ~system:sys ~config:"seqread-cold-4k" r;
-      if sys = Targets.Bento_fs then bento_on := Some r;
-      pf "%12.1f" (Workloads.Bench_result.mbps r))
-    Targets.all_with_ext4;
-  pf "\n%!";
+      if sys = Stacks.Bento then bento_on := Some r;
+      spf "%.1f" (Workloads.Bench_result.mbps r));
   header "Ablation: page-cache readahead on vs off (Bento, same workload)";
   let off =
-    Targets.run Targets.Bento_fs (fun _m os ->
+    Targets.run Stacks.Bento (fun os ->
         Kernel.Vfs.set_readahead (Kernel.Os.vfs os) false;
         Workloads.Micro.seqread_cold_bench os ~iosize:4096
           ~file_mb:seqread_cold_mb)
   in
-  record ~section:"readahead" ~system:Targets.Bento_fs
+  record ~section:"readahead" ~system:Stacks.Bento
     ~config:"seqread-cold-4k-ra-off" off;
   let on = Option.get !bento_on in
   pf "seqread-cold on Bento: readahead %.1f MBps  no-readahead %.1f MBps  \
@@ -441,6 +392,24 @@ let scaling () =
             :: !hot
       | None -> ()
   in
+  (* one fibers x systems table; each cell also records its scaling
+     efficiency against the same system's smallest fiber count *)
+  let sweep ~systems ~config ~eff ~fmt measure =
+    let base = Hashtbl.create 8 in
+    grid ~systems ~corner:"fibers" ~label:string_of_int fibers
+      ~cell:(fun n sys ->
+        let r = Targets.run sys (measure n) in
+        record ~section:"scaling" ~system:sys ~config:(config n) r;
+        note_hot ~config:(config n) sys n;
+        let tput = Workloads.Bench_result.ops_per_sec r in
+        (match Hashtbl.find_opt base sys with
+        | None -> Hashtbl.add base sys tput
+        | Some b ->
+            if b > 0. then
+              record_scalar ~section:"scaling" ~system:sys ~config:(eff n)
+                ~metric:"scaling_efficiency" (tput /. b));
+        fmt tput)
+  in
   header "Scaling: aggregate throughput vs workload fibers (8-core machine)";
   (* per-fiber private-file read micros: no shared fileset entry, so the
      stack's own locks are the only serialisation *)
@@ -448,73 +417,23 @@ let scaling () =
     (fun (pname, pattern) ->
       pf "-- scale-read-%s-4k: private warm file per fiber, ops/sec (x1000) --\n"
         pname;
-      pf "%-10s" "fibers";
-      List.iter (fun s -> pf "%12s" (Targets.system_name s)) Targets.all_xv6;
-      pf "\n";
-      let base = Hashtbl.create 8 in
-      List.iter
-        (fun n ->
-          pf "%-10d" n;
-          List.iter
-            (fun sys ->
-              let r =
-                Targets.run sys (fun _m os ->
-                    Workloads.Micro.scaling_read_bench os ~iosize:4096 ~pattern
-                      ~nthreads:n ~duration:(dur ()) ~file_mb:2 ~seed:!seed)
-              in
-              let config = Printf.sprintf "scale-read-%s-4k-%dt" pname n in
-              record ~section:"scaling" ~system:sys ~config r;
-              note_hot ~config sys n;
-              let tput = Workloads.Bench_result.ops_per_sec r in
-              (match Hashtbl.find_opt base sys with
-              | None -> Hashtbl.add base sys tput
-              | Some b ->
-                  if b > 0. then
-                    record_scalar ~section:"scaling" ~system:sys
-                      ~config:
-                        (Printf.sprintf "scale-read-%s-4k-eff%dt" pname n)
-                      ~metric:"scaling_efficiency" (tput /. b));
-              pf "%12.1f" (tput /. 1000.))
-            Targets.all_xv6;
-          pf "\n%!")
-        fibers)
+      sweep ~systems:Targets.all_xv6
+        ~config:(spf "scale-read-%s-4k-%dt" pname)
+        ~eff:(spf "scale-read-%s-4k-eff%dt" pname)
+        ~fmt:(fun tput -> spf "%.1f" (tput /. 1000.))
+        (fun n os ->
+          Workloads.Micro.scaling_read_bench os ~iosize:4096 ~pattern
+            ~nthreads:n ~duration:(dur ()) ~file_mb:2 ~seed:!seed))
     [ ("seq", Workloads.Micro.Seq); ("rnd", Workloads.Micro.Rnd) ];
   (* varmail with N threads on the journalled stacks: fsync-heavy, so the
      log's group commit is what scales (or does not) *)
-  let vm_systems = [ Targets.Bento_fs; Targets.C_kernel; Targets.Ext4 ] in
   pf "-- varmail with N threads, ops/sec --\n";
-  pf "%-10s" "fibers";
-  List.iter (fun s -> pf "%12s" (Targets.system_name s)) vm_systems;
-  pf "\n";
-  let vbase = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      pf "%-10d" n;
-      List.iter
-        (fun sys ->
-          let vc =
-            { Workloads.Macro.varmail_default with Workloads.Macro.vm_nthreads = n }
-          in
-          let r =
-            Targets.run sys (fun _m os ->
-                Workloads.Macro.varmail os ~duration:(dur ()) ~config:vc
-                  ~seed:!seed ())
-          in
-          let config = Printf.sprintf "varmail-%dt" n in
-          record ~section:"scaling" ~system:sys ~config r;
-          note_hot ~config sys n;
-          let tput = Workloads.Bench_result.ops_per_sec r in
-          (match Hashtbl.find_opt vbase sys with
-          | None -> Hashtbl.add vbase sys tput
-          | Some b ->
-              if b > 0. then
-                record_scalar ~section:"scaling" ~system:sys
-                  ~config:(Printf.sprintf "varmail-eff%dt" n)
-                  ~metric:"scaling_efficiency" (tput /. b));
-          pf "%12.0f" tput)
-        vm_systems;
-      pf "\n%!")
-    fibers;
+  sweep ~systems:Stacks.[ Bento; Ckernel; Ext4 ] ~config:(spf "varmail-%dt")
+    ~eff:(spf "varmail-eff%dt") ~fmt:(spf "%.0f") (fun n os ->
+      let vc =
+        { Workloads.Macro.varmail_default with Workloads.Macro.vm_nthreads = n }
+      in
+      Workloads.Macro.varmail os ~duration:(dur ()) ~config:vc ~seed:!seed ());
   header
     (Printf.sprintf "Scaling: lock-wait attribution at %d fibers" nmax);
   List.iter
@@ -545,11 +464,11 @@ let slo_report ~prefix (summaries : Server.Slo.summary list) =
         (Int64.to_float s.s_p50_ns /. 1e6)
         (Int64.to_float s.s_p99_ns /. 1e6)
         s.s_throughput s.s_over_target s.s_breaches;
-      record_scalar ~section:"server" ~system:Targets.Bento_fs
+      record_scalar ~section:"server" ~system:Stacks.Bento
         ~config:(Printf.sprintf "%s-%s-slo-p99" prefix s.s_tenant)
         ~metric:"slo_p99_ms"
         (Int64.to_float s.s_p99_ns /. 1e6);
-      record_scalar ~section:"server" ~system:Targets.Bento_fs
+      record_scalar ~section:"server" ~system:Stacks.Bento
         ~config:(Printf.sprintf "%s-%s-slo-breaches" prefix s.s_tenant)
         ~metric:"slo_breaches"
         (Int64.to_float s.s_breaches))
@@ -559,7 +478,7 @@ let slo_report ~prefix (summaries : Server.Slo.summary list) =
    check. Every request observed in the trace must stitch into one
    connected DAG of spans and flow edges — orphan completions or split
    components mean a broken propagation hop. *)
-let causal_report ?(system = Targets.Bento_fs) ~section ~config () =
+let causal_report ?(system = Stacks.Bento) ~section ~config () =
   if !Targets.trace_enabled then
     match Targets.last_tracer () with
     | None -> ()
@@ -595,14 +514,14 @@ let server_section () =
     (fun n ->
       let slo_out = ref [] in
       let rs =
-        Targets.run Targets.Bento_fs (fun _m os ->
+        Targets.run Stacks.Bento (fun os ->
             Workloads.Server_fleet.webserver_fleet os ~slo_out ~nclients:n
               ~duration:(dur ()) ~seed:!seed ())
       in
       List.iter
         (fun (tenant, r) ->
           let config = Printf.sprintf "web-%dc-%s" n tenant in
-          record ~section:"server" ~system:Targets.Bento_fs ~config r;
+          record ~section:"server" ~system:Stacks.Bento ~config r;
           show config r)
         rs;
       slo_report ~prefix:(Printf.sprintf "web-%dc" n) !slo_out;
@@ -611,14 +530,14 @@ let server_section () =
   let ci_clients = 40 in
   let slo_out = ref [] in
   let rs =
-    Targets.run Targets.Bento_fs (fun _m os ->
+    Targets.run Stacks.Bento (fun os ->
         Workloads.Server_fleet.ci_fleet os ~slo_out ~nclients:ci_clients
           ~duration:(dur ()) ~seed:!seed ())
   in
   List.iter
     (fun (tenant, r) ->
       let config = Printf.sprintf "ci-%dc-%s" ci_clients tenant in
-      record ~section:"server" ~system:Targets.Bento_fs ~config r;
+      record ~section:"server" ~system:Stacks.Bento ~config r;
       show config r)
     rs;
   slo_report ~prefix:(Printf.sprintf "ci-%dc" ci_clients) !slo_out;
@@ -649,13 +568,13 @@ let coldstart_section () =
   let cas_blocks = 256 * 1024 in
   pf "%-22s %10s %12s %10s %12s %12s %10s\n" "config" "ops" "opens/s"
     "p99us" "dev_reads" "dev_blocks" "respages";
-  let arms = [ ("cas", Targets.Bento_fs); ("cas", Targets.Fuse);
-               ("naive", Targets.Bento_fs) ] in
+  let arms = [ ("cas", Stacks.Bento); ("cas", Stacks.Fuse);
+               ("naive", Stacks.Bento) ] in
   List.iter
     (fun n ->
       List.iter
         (fun (mode, sys) ->
-          let f _machine os =
+          let f os =
             match mode with
             | "cas" ->
                 Workloads.Coldstart.cas_run os ~tenants:n
@@ -700,17 +619,7 @@ let coldstart_section () =
 (* Ablations: the design choices DESIGN.md calls out.                   *)
 
 let run_bento_wb_batch ~wb_batch f =
-  let machine = Kernel.Machine.create ~disk_blocks:(2 * 1024 * 1024) ~block_size:4096 () in
-  let result = ref None in
-  Kernel.Machine.spawn ~name:"bench" machine (fun () ->
-      let ok = Kernel.Errno.ok_exn in
-      ok (Bento.Bentofs.mkfs machine Targets.xv6_maker);
-      let vfs, h = ok (Bento.Bentofs.mount ~wb_batch machine Targets.xv6_maker) in
-      let os = Kernel.Os.create vfs in
-      result := Some (f os);
-      Bento.Bentofs.unmount vfs h);
-  Kernel.Machine.run machine;
-  Option.get !result
+  Stacks.run ~wb_batch Stacks.Bento (Stacks.machine ()) f
 
 let ablate () =
   header
@@ -731,13 +640,13 @@ let ablate () =
     /. Workloads.Bench_result.elapsed_sec batched);
   header "Ablation: full stacks on untar (Bento vs hand-written C baseline)";
   let bento =
-    Targets.run Targets.Bento_fs (fun _m os -> Workloads.Macro.untar os manifest)
+    Targets.run Stacks.Bento (fun os -> Workloads.Macro.untar os manifest)
   in
-  record ~section:"ablate" ~system:Targets.Bento_fs ~config:"untar" bento;
+  record ~section:"ablate" ~system:Stacks.Bento ~config:"untar" bento;
   let ckern =
-    Targets.run Targets.C_kernel (fun _m os -> Workloads.Macro.untar os manifest)
+    Targets.run Stacks.Ckernel (fun os -> Workloads.Macro.untar os manifest)
   in
-  record ~section:"ablate" ~system:Targets.C_kernel ~config:"untar" ckern;
+  record ~section:"ablate" ~system:Stacks.Ckernel ~config:"untar" ckern;
   pf "untar %d files: Bento %.1fs  C-Kernel %.1fs  ratio %.2fx\n%!"
     (List.length manifest.Workloads.Macro.files)
     (Workloads.Bench_result.elapsed_sec bento)
@@ -745,17 +654,17 @@ let ablate () =
     (Workloads.Bench_result.elapsed_sec ckern /. Workloads.Bench_result.elapsed_sec bento);
   header "Ablation: user-level block I/O + whole-file fsync (create ops/s)";
   let bento_c =
-    Targets.run Targets.Bento_fs (fun _m os ->
+    Targets.run Stacks.Bento (fun os ->
         Workloads.Micro.create_bench os ~nthreads:1 ~duration:(dur ())
           ~dirwidth:100 ~mean_size:16384 ~seed:!seed)
   in
-  record ~section:"ablate" ~system:Targets.Bento_fs ~config:"create-1t" bento_c;
+  record ~section:"ablate" ~system:Stacks.Bento ~config:"create-1t" bento_c;
   let fuse_c =
-    Targets.run Targets.Fuse (fun _m os ->
+    Targets.run Stacks.Fuse (fun os ->
         Workloads.Micro.create_bench os ~nthreads:1 ~duration:(dur ())
           ~dirwidth:100 ~mean_size:16384 ~seed:!seed)
   in
-  record ~section:"ablate" ~system:Targets.Fuse ~config:"create-1t" fuse_c;
+  record ~section:"ablate" ~system:Stacks.Fuse ~config:"create-1t" fuse_c;
   pf "create: Bento %.0f/s  FUSE %.0f/s  slowdown %.0fx\n%!"
     (Workloads.Bench_result.ops_per_sec bento_c)
     (Workloads.Bench_result.ops_per_sec fuse_c)
@@ -763,17 +672,17 @@ let ablate () =
     /. max 0.001 (Workloads.Bench_result.ops_per_sec fuse_c));
   header "Ablation: always-on flight recorder (warm 4KB seq reads, Bento)";
   let flight_read () =
-    Targets.run Targets.Bento_fs (fun _m os ->
+    Targets.run Stacks.Bento (fun os ->
         Workloads.Micro.read_bench os ~iosize:4096 ~pattern:Workloads.Micro.Seq
           ~nthreads:1 ~duration:(dur ()) ~file_mb:128 ~seed:!seed)
   in
   let fl_on = flight_read () in
-  record ~section:"ablate" ~system:Targets.Bento_fs
+  record ~section:"ablate" ~system:Stacks.Bento
     ~config:"read-seq-4k-flight-on" fl_on;
   Targets.flight_enabled := false;
   let fl_off = flight_read () in
   Targets.flight_enabled := true;
-  record ~section:"ablate" ~system:Targets.Bento_fs
+  record ~section:"ablate" ~system:Stacks.Bento
     ~config:"read-seq-4k-flight-off" fl_off;
   let on_ops = Workloads.Bench_result.ops_per_sec fl_on in
   let off_ops = Workloads.Bench_result.ops_per_sec fl_off in
@@ -782,15 +691,15 @@ let ablate () =
     (if off_ops > 0. then (off_ops -. on_ops) /. off_ops *. 100. else 0.);
   header "Ablation: journaling strategy (varmail ops/s; xv6 sync log vs jbd2 lazy checkpoint)";
   let vm_x =
-    Targets.run Targets.Bento_fs (fun _m os ->
+    Targets.run Stacks.Bento (fun os ->
         Workloads.Macro.varmail os ~duration:(dur ()) ~seed:!seed ())
   in
-  record ~section:"ablate" ~system:Targets.Bento_fs ~config:"varmail" vm_x;
+  record ~section:"ablate" ~system:Stacks.Bento ~config:"varmail" vm_x;
   let vm_e =
-    Targets.run Targets.Ext4 (fun _m os ->
+    Targets.run Stacks.Ext4 (fun os ->
         Workloads.Macro.varmail os ~duration:(dur ()) ~seed:!seed ())
   in
-  record ~section:"ablate" ~system:Targets.Ext4 ~config:"varmail" vm_e;
+  record ~section:"ablate" ~system:Stacks.Ext4 ~config:"varmail" vm_e;
   pf "varmail: xv6-log %.0f/s  jbd2 %.0f/s  ext4 advantage %.2fx\n%!"
     (Workloads.Bench_result.ops_per_sec vm_x)
     (Workloads.Bench_result.ops_per_sec vm_e)
@@ -805,8 +714,8 @@ let upgrade () =
   let machine = Kernel.Machine.create ~disk_blocks:(1024 * 1024) ~block_size:4096 () in
   Kernel.Machine.spawn ~name:"bench" machine (fun () ->
       let ok = Kernel.Errno.ok_exn in
-      ok (Bento.Bentofs.mkfs machine Targets.xv6_maker);
-      let vfs, h = ok (Bento.Bentofs.mount machine Targets.xv6_maker) in
+      ok (Bento.Bentofs.mkfs machine Stacks.xv6);
+      let vfs, h = ok (Bento.Bentofs.mount machine Stacks.xv6) in
       let os = Kernel.Os.create vfs in
       (* steady workload *)
       let stop = ref false in
@@ -876,40 +785,31 @@ let pushdown_section () =
     ]
   in
   let cells = Hashtbl.create 32 in
-  pf "%-16s" "config";
-  List.iter (fun s -> pf "%22s" (Targets.system_name s)) Targets.all_with_ext4;
-  pf "\n";
-  List.iter
-    (fun (config, f) ->
-      pf "%-16s" config;
-      List.iter
-        (fun sys ->
-          let r = Targets.run sys (fun _m os -> f os) in
-          record ~section:"pushdown" ~system:sys ~config
-            r.Workloads.Pushdown_bench.br;
-          record_scalar ~section:"pushdown" ~system:sys ~config
-            ~metric:"crossings_per_op" r.crossings_per_op;
-          Hashtbl.replace cells (config, sys) r;
-          pf "%13.1fk %7.2f"
-            (Workloads.Bench_result.ops_per_sec r.br /. 1e3)
-            r.crossings_per_op)
-        Targets.all_with_ext4;
-      pf "\n%!")
-    arms;
+  grid ~width:16 ~colw:22 ~systems:Stacks.all ~corner:"config" ~label:fst arms
+    ~cell:(fun (config, f) sys ->
+      let r = Targets.run sys f in
+      record ~section:"pushdown" ~system:sys ~config
+        r.Workloads.Pushdown_bench.br;
+      record_scalar ~section:"pushdown" ~system:sys ~config
+        ~metric:"crossings_per_op" r.crossings_per_op;
+      Hashtbl.replace cells (config, sys) r;
+      spf "%13.1fk %7.2f"
+        (Workloads.Bench_result.ops_per_sec r.br /. 1e3)
+        r.crossings_per_op);
   let cpo config sys =
     (Hashtbl.find cells (config, sys)).Workloads.Pushdown_bench.crossings_per_op
   in
   pf "FUSE filtered scan: %.1f crossings/op plain vs %.1f pushed down \
       (%.1fx fewer)\n"
-    (cpo "scan-plain" Targets.Fuse)
-    (cpo "scan-pushdown" Targets.Fuse)
-    (cpo "scan-plain" Targets.Fuse /. cpo "scan-pushdown" Targets.Fuse);
+    (cpo "scan-plain" Stacks.Fuse)
+    (cpo "scan-pushdown" Stacks.Fuse)
+    (cpo "scan-plain" Stacks.Fuse /. cpo "scan-pushdown" Stacks.Fuse);
   List.iter
     (fun sys ->
       pf "%s extent walk: %.1f crossings/op plain vs %.1f pushed down\n"
         (Targets.system_name sys)
         (cpo "walk-plain" sys) (cpo "walk-pushdown" sys))
-    Targets.all_with_ext4;
+    Stacks.all;
   pf "%!"
 
 (* ------------------------------------------------------------------ *)
@@ -984,24 +884,18 @@ let bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
-let all () =
-  table1 ();
-  table2 ();
-  table3 ();
-  fig2 ();
-  fig3 ();
-  fig4 ();
-  table4 ();
-  table5 ();
-  table6 ();
-  readahead_section ();
-  scaling ();
-  server_section ();
-  coldstart_section ();
-  ablate ();
-  upgrade ();
-  pushdown_section ();
-  bechamel ()
+(* Every section, in the order [all] runs them: the one table behind
+   dispatch, [all] and the usage text. *)
+let sections =
+  [
+    ("table1", table1); ("table2", table2); ("table3", table3);
+    ("fig2", fig2); ("fig3", fig3); ("fig4", fig4);
+    ("table4", table4); ("table5", table5); ("table6", table6);
+    ("readahead", readahead_section); ("scaling", scaling);
+    ("server", server_section); ("coldstart", coldstart_section);
+    ("ablate", ablate); ("upgrade", upgrade);
+    ("pushdown", pushdown_section); ("bechamel", bechamel);
+  ]
 
 (* The current commit, for run provenance in the JSON metadata. Advisory
    only — bench-diff does not gate on it (old and new legitimately come
@@ -1103,86 +997,59 @@ let print_profiles () =
       | None -> ())
     (List.rev !Targets.observations)
 
+let int_list v = List.map int_of_string (String.split_on_char ',' v)
+
+(* Flags that take a value. *)
+let flags =
+  [
+    ("--duration", fun v -> duration := float_of_string v);
+    ("--untar-files", fun v -> untar_files := int_of_string v);
+    ("--seed", fun v -> seed := int_of_string v);
+    ("--scaling-fibers", fun v -> scaling_fibers := int_list v);
+    ("--server-clients", fun v -> server_clients := int_list v);
+    ("--coldstart-tenants", fun v -> coldstart_tenants := int_list v);
+    ("--json", fun v -> json_path := Some v);
+    ("--trace", fun v -> trace_path := Some v);
+    ("--folded", fun v -> folded_path := Some v);
+  ]
+
+let usage msg =
+  Printf.eprintf "%s\nsections: %s, all\nflags: %s, --profile\n" msg
+    (String.concat ", " (List.map fst sections))
+    (String.concat ", " (List.map (fun (f, _) -> f ^ " <v>") flags));
+  exit 2
+
+(* Validate every argument before any section runs: a bad section name,
+   unknown flag, missing or malformed value exits 2 having done no work. *)
+let rec parse acc = function
+  | [] -> List.rev acc
+  | "--profile" :: rest ->
+      profile := true;
+      parse acc rest
+  | f :: rest when List.mem_assoc f flags -> (
+      match rest with
+      | [] -> usage (spf "flag %s needs a value" f)
+      | v :: rest ->
+          (try List.assoc f flags v
+           with Failure _ -> usage (spf "bad value %S for %s" v f));
+          parse acc rest)
+  | s :: rest when s = "all" || List.mem_assoc s sections -> parse (s :: acc) rest
+  | s :: _ -> usage (spf "unknown section or flag %S" s)
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let sections = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--duration" :: v :: rest ->
-        duration := float_of_string v;
-        parse rest
-    | "--untar-files" :: v :: rest ->
-        untar_files := int_of_string v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--scaling-fibers" :: v :: rest ->
-        scaling_fibers :=
-          List.map int_of_string (String.split_on_char ',' v);
-        parse rest
-    | "--server-clients" :: v :: rest ->
-        server_clients :=
-          List.map int_of_string (String.split_on_char ',' v);
-        parse rest
-    | "--coldstart-tenants" :: v :: rest ->
-        coldstart_tenants :=
-          List.map int_of_string (String.split_on_char ',' v);
-        parse rest
-    | "--json" :: v :: rest ->
-        json_path := Some v;
-        parse rest
-    | "--trace" :: v :: rest ->
-        trace_path := Some v;
-        parse rest
-    | "--profile" :: rest ->
-        profile := true;
-        parse rest
-    | "--folded" :: v :: rest ->
-        folded_path := Some v;
-        parse rest
-    | s :: rest ->
-        sections := s :: !sections;
-        parse rest
-  in
-  parse args;
+  let sections_run = parse [] (List.tl (Array.to_list Sys.argv)) in
   if !json_path <> None || !trace_path <> None || !profile
      || !folded_path <> None
   then Targets.observe := true;
   if !trace_path <> None then Targets.trace_enabled := true;
   if !profile || !folded_path <> None then Targets.profile_enabled := true;
-  let sections = List.rev !sections in
-  let run_section = function
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "table3" -> table3 ()
-    | "fig2" -> fig2 ()
-    | "fig3" -> fig3 ()
-    | "fig4" -> fig4 ()
-    | "table4" -> table4 ()
-    | "table5" -> table5 ()
-    | "table6" -> table6 ()
-    | "readahead" -> readahead_section ()
-    | "scaling" -> scaling ()
-    | "server" -> server_section ()
-    | "coldstart" -> coldstart_section ()
-    | "ablate" -> ablate ()
-    | "upgrade" -> upgrade ()
-    | "pushdown" -> pushdown_section ()
-    | "bechamel" -> bechamel ()
-    | "all" -> all ()
-    | s ->
-        Printf.eprintf
-          "unknown section %S (use table1..table6, fig2..fig4, readahead, \
-           scaling, server, coldstart, ablate, upgrade, pushdown, bechamel, \
-           all)\n"
-          s;
-        exit 2
-  in
-  (match sections with
-  | [] -> all ()
-  | ss -> List.iter run_section ss);
-  let ran = match sections with [] -> [ "all" ] | ss -> ss in
+  let ran = if sections_run = [] then [ "all" ] else sections_run in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (s, run) -> if name = "all" || name = s then run ())
+        sections)
+    ran;
   if !profile then print_profiles ();
   Option.iter (fun p -> write_json p ran) !json_path;
   Option.iter write_trace !trace_path;

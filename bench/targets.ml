@@ -1,20 +1,15 @@
 (** Benchmark targets: the four file-system stacks of the paper's
-    evaluation, each brought up on a fresh simulated machine. *)
-
-let ok = Kernel.Errno.ok_exn
-
-let xv6_maker : (module Bento.Fs_api.FS_MAKER) = (module Xv6fs.Fs.Make)
-
-type system = Bento_fs | C_kernel | Fuse | Ext4
+    evaluation ({!Stacks}), each brought up on a fresh simulated machine,
+    plus the per-run observation bookkeeping behind [--json], [--trace]
+    and [--profile]. *)
 
 let system_name = function
-  | Bento_fs -> "Bento"
-  | C_kernel -> "C-Kernel"
+  | Stacks.Bento -> "Bento"
+  | Ckernel -> "C-Kernel"
   | Fuse -> "FUSE"
   | Ext4 -> "Ext4"
 
-let all_xv6 = [ Bento_fs; C_kernel; Fuse ]
-let all_with_ext4 = [ Bento_fs; C_kernel; Fuse; Ext4 ]
+let all_xv6 = Stacks.[ Bento; Ckernel; Fuse ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability: when the harness is asked for machine-readable output
@@ -96,65 +91,24 @@ let print_lock_waits ?(top = 8) ~label p =
         waits;
       Printf.printf "%!"
 
-(** Bring up [system] on a fresh machine, run [f os], tear down, drain the
-    simulation, and return [f]'s result. [page_cap] and [cas_blocks] are
-    honoured by the Bento and FUSE stacks (the coldstart section needs a
-    CAS region and room for many tenants' aliased pages); the C and Ext4
-    baselines ignore them. *)
-let run ?(disk_blocks = 2 * 1024 * 1024) ?(background = true) ?page_cap
-    ?cas_blocks ?label system f =
-  let machine = Kernel.Machine.create ~disk_blocks ~block_size:4096 () in
+(** Bring up [system] through {!Stacks.run} on a fresh machine, run
+    [f os], tear down, drain the simulation, record the run's observation
+    and return [f]'s result. *)
+let run ?disk_blocks ?page_cap ?cas_blocks system f =
+  let machine = Stacks.machine ?disk_blocks () in
   if !trace_enabled then begin
     Sim.Trace.set_capacity (Kernel.Machine.tracer machine) !trace_capacity;
     Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true
   end;
   Sim.Flight.set_enabled (Kernel.Machine.flight machine) !flight_enabled;
   if !profile_enabled then Sim.Profile.enable (Kernel.Machine.profile machine);
-  let result = ref None in
-  Kernel.Machine.spawn ~name:"bench" machine (fun () ->
-      match system with
-      | Bento_fs ->
-          ok (Bento.Bentofs.mkfs ?cas_blocks machine xv6_maker);
-          let vfs, h =
-            ok
-              (Bento.Bentofs.mount ~background ?page_cap ?cas_blocks machine
-                 xv6_maker)
-          in
-          let os = Kernel.Os.create vfs in
-          result := Some (f machine os);
-          Bento.Bentofs.unmount vfs h
-      | C_kernel ->
-          ok (Vfs_xv6.mkfs machine);
-          let vfs = ok (Vfs_xv6.mount ~background machine) in
-          let os = Kernel.Os.create vfs in
-          result := Some (f machine os);
-          Vfs_xv6.unmount vfs
-      | Fuse ->
-          ok (Bento.Bentofs.mkfs ?cas_blocks machine xv6_maker);
-          let vfs, h =
-            ok
-              (Bento_user.mount ~background ?page_cap ?cas_blocks machine
-                 xv6_maker)
-          in
-          let os = Kernel.Os.create vfs in
-          result := Some (f machine os);
-          Bento_user.unmount vfs h
-      | Ext4 ->
-          ok (Ext4sim.Ext4.mkfs machine);
-          let vfs, h = ok (Ext4sim.Ext4.mount ~background machine) in
-          let os = Kernel.Os.create vfs in
-          result := Some (f machine os);
-          Ext4sim.Ext4.unmount vfs h);
-  Kernel.Machine.run machine;
+  let result = Stacks.run ?page_cap ?cas_blocks system machine f in
   if !profile_enabled then
     Sim.Profile.disable (Kernel.Machine.profile machine);
   if !observe then begin
-    let obs_label =
-      match label with Some l -> l | None -> system_name system
-    in
     observations :=
       {
-        obs_label;
+        obs_label = system_name system;
         obs_tracer = Kernel.Machine.tracer machine;
         obs_counters = Kernel.Machine.counter_snapshot machine;
         obs_profile =
@@ -163,6 +117,4 @@ let run ?(disk_blocks = 2 * 1024 * 1024) ?(background = true) ?page_cap
       }
       :: !observations
   end;
-  match !result with
-  | Some r -> r
-  | None -> failwith "bench target produced no result"
+  result

@@ -9,7 +9,28 @@
 open Cmdliner
 
 let ok = Kernel.Errno.ok_exn
-let xv6 : (module Bento.Fs_api.FS_MAKER) = (module Xv6fs.Fs.Make)
+let xv6 = Stacks.xv6
+
+let stack_names = String.concat "|" (List.map Stacks.name Stacks.all)
+
+(* --fs: one stack, parsed by the facade; anything else is a usage error
+   (exit 2) before any work runs. *)
+let stack_arg =
+  let parse s =
+    Option.to_result ~none:("unknown stack, want " ^ stack_names)
+      (Stacks.of_string s)
+  in
+  let print ppf k = Format.pp_print_string ppf (Stacks.name k) in
+  Arg.(
+    value
+    & opt (conv' (parse, print)) Stacks.Bento
+    & info [ "fs" ] ~doc:stack_names)
+
+(* Bring up [k] on a fresh 1 GB machine, run [f os], unmount and drain. *)
+let with_stack k f =
+  let machine = Stacks.machine ~disk_blocks:(256 * 1024) () in
+  Stacks.run k machine (f machine);
+  machine
 
 (* ------------------------------------------------------------------ *)
 
@@ -47,32 +68,9 @@ let layout_cmd =
 (* ------------------------------------------------------------------ *)
 
 let smoke_cmd =
-  let fs_arg =
-    Arg.(value & opt string "bento" & info [ "fs" ] ~doc:"bento | c-kernel | fuse | ext4")
-  in
-  let run fsname =
-    let machine = Kernel.Machine.create ~disk_blocks:(256 * 1024) ~block_size:4096 () in
-    Kernel.Machine.spawn machine (fun () ->
-        let os, finish =
-          match fsname with
-          | "bento" ->
-              ok (Bento.Bentofs.mkfs machine xv6);
-              let vfs, h = ok (Bento.Bentofs.mount machine xv6) in
-              (Kernel.Os.create vfs, fun () -> Bento.Bentofs.unmount vfs h)
-          | "c-kernel" ->
-              ok (Vfs_xv6.mkfs machine);
-              let vfs = ok (Vfs_xv6.mount machine) in
-              (Kernel.Os.create vfs, fun () -> Vfs_xv6.unmount vfs)
-          | "fuse" ->
-              ok (Bento.Bentofs.mkfs machine xv6);
-              let vfs, h = ok (Bento_user.mount machine xv6) in
-              (Kernel.Os.create vfs, fun () -> Bento_user.unmount vfs h)
-          | "ext4" ->
-              ok (Ext4sim.Ext4.mkfs machine);
-              let vfs, h = ok (Ext4sim.Ext4.mount machine) in
-              (Kernel.Os.create vfs, fun () -> Ext4sim.Ext4.unmount vfs h)
-          | other -> failwith ("unknown fs: " ^ other)
-        in
+  let run k =
+    let machine =
+      with_stack k (fun machine os ->
         let t0 = Kernel.Machine.now machine in
         ok (Kernel.Os.mkdir os "/smoke");
         for i = 0 to 99 do
@@ -92,10 +90,9 @@ let smoke_cmd =
         ok (Kernel.Os.sync os);
         let dt = Int64.sub (Kernel.Machine.now machine) t0 in
         Printf.printf "%s: 100 x (create 16K + read + delete) in %.3f virtual ms\n"
-          fsname
-          (Int64.to_float dt /. 1e6);
-        finish ());
-    Kernel.Machine.run machine;
+          (Stacks.name k)
+          (Int64.to_float dt /. 1e6))
+    in
     let stats = Device.Ssd.stats (Kernel.Machine.disk machine) in
     Printf.printf "device: ";
     Sim.Stats.iter_counters stats (fun name c ->
@@ -103,7 +100,7 @@ let smoke_cmd =
     print_newline ()
   in
   Cmd.v (Cmd.info "smoke" ~doc:"Run a smoke workload and print device statistics")
-    Term.(const run $ fs_arg)
+    Term.(const run $ stack_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -154,11 +151,6 @@ let crashtest_cmd =
 (* ------------------------------------------------------------------ *)
 
 let inspect_cmd =
-  let fs_arg =
-    Arg.(
-      value & opt string "bento"
-      & info [ "fs" ] ~doc:"bento | c-kernel | fuse | ext4")
-  in
   let json_out =
     Arg.(
       value
@@ -174,36 +166,14 @@ let inspect_cmd =
           ~doc:"Write the flight-recorder ring dump to $(docv) instead of \
                 stdout")
   in
-  let run fsname json_path flight_path =
+  let run k json_path flight_path =
     let ok_r = function
       | Ok v -> v
       | Error e -> failwith ("inspect: " ^ Kernel.Errno.to_string e)
     in
-    let machine =
-      Kernel.Machine.create ~disk_blocks:(256 * 1024) ~block_size:4096 ()
-    in
     let captured = ref Util.Json.Null in
-    Kernel.Machine.spawn machine (fun () ->
-        let os, finish =
-          match fsname with
-          | "bento" ->
-              ok (Bento.Bentofs.mkfs machine xv6);
-              let vfs, h = ok (Bento.Bentofs.mount machine xv6) in
-              (Kernel.Os.create vfs, fun () -> Bento.Bentofs.unmount vfs h)
-          | "c-kernel" ->
-              ok (Vfs_xv6.mkfs machine);
-              let vfs = ok (Vfs_xv6.mount machine) in
-              (Kernel.Os.create vfs, fun () -> Vfs_xv6.unmount vfs)
-          | "fuse" ->
-              ok (Bento.Bentofs.mkfs machine xv6);
-              let vfs, h = ok (Bento_user.mount machine xv6) in
-              (Kernel.Os.create vfs, fun () -> Bento_user.unmount vfs h)
-          | "ext4" ->
-              ok (Ext4sim.Ext4.mkfs machine);
-              let vfs, h = ok (Ext4sim.Ext4.mount machine) in
-              (Kernel.Os.create vfs, fun () -> Ext4sim.Ext4.unmount vfs h)
-          | other -> failwith ("unknown fs: " ^ other)
-        in
+    let machine =
+      with_stack k (fun machine os ->
         (* local load so the bcache/log/journal probes have state *)
         ok (Kernel.Os.mkdir os "/smoke");
         for i = 0 to 19 do
@@ -263,9 +233,8 @@ let inspect_cmd =
         captured := Kernel.Machine.inspect machine;
         Server.Client.detach gold;
         Server.Client.detach bronze;
-        Server.Fileserver.stop server;
-        finish ());
-    Kernel.Machine.run machine;
+        Server.Fileserver.stop server)
+    in
     let emit path content what =
       match path with
       | None -> print_string content
@@ -289,7 +258,7 @@ let inspect_cmd =
           workload, and dump the live internal-state inspectors (bcache \
           residency, CAS page table, lease table, WFQ depths, journal \
           state, SLO windows) and the flight-recorder ring")
-    Term.(const run $ fs_arg $ json_out $ flight_out)
+    Term.(const run $ stack_arg $ json_out $ flight_out)
 
 (* ------------------------------------------------------------------ *)
 
@@ -327,7 +296,8 @@ let check_cmd =
     Arg.(
       value
       & opt string "all"
-      & info [ "fs" ] ~doc:"xv6 | fuse | ext4 | all — stacks to check")
+      & info [ "fs" ]
+          ~doc:(stack_names ^ "|all — stacks to check; all is the crash-clean bento|fuse|ext4"))
   in
   let inject =
     Arg.(
@@ -373,14 +343,12 @@ let check_cmd =
       exit 0
     end;
     let stacks =
-      match fs with
-      | "all" -> Check.Stack.all
-      | s -> (
-          match Check.Stack.of_string s with
-          | Some k -> [ k ]
-          | None ->
-              prerr_endline ("unknown --fs: " ^ s ^ " (want xv6|fuse|ext4|all)");
-              exit 2)
+      match (fs, Stacks.of_string fs) with
+      | "all", _ -> Check.Checker.crash_clean
+      | _, Some k -> [ k ]
+      | _, None ->
+          prerr_endline ("unknown --fs: " ^ fs ^ " (want " ^ stack_names ^ "|all)");
+          exit 2
     in
     let mode =
       match points with
@@ -484,10 +452,13 @@ let benchdiff_cmd =
 let () =
   let doc = "Bento: high-velocity kernel file systems (simulated reproduction)" in
   let info = Cmd.info "bento_cli" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            layout_cmd; smoke_cmd; crashtest_cmd; inspect_cmd; bugstudy_cmd;
-            check_cmd; benchdiff_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           layout_cmd; smoke_cmd; crashtest_cmd; inspect_cmd; bugstudy_cmd;
+           check_cmd; benchdiff_cmd;
+         ])
+  in
+  (* usage errors exit 2, like bench-diff's bad input *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -284,16 +284,7 @@ let mount ?dirty_limit ?page_cap ?background ?wb_batch ?cas_blocks
         Kernel.Vfs.mount ?dirty_limit ?page_cap ?background machine
           (vfs_ops ?wb_batch h)
       in
-      (* Pushdown walks read below the syscall layer through the buffer
-         cache — sharding and admission apply exactly as for fs reads. *)
-      Kernel.Pushdown.set_backend
-        (Kernel.Pushdown.registry machine)
-        ~label:"bcache"
-        (fun blk ->
-          let b = Kernel.Bcache.bread bcache blk in
-          let d = Bytes.copy b.Kernel.Bcache.data in
-          Kernel.Bcache.brelse bcache b;
-          d);
+      Kernel.Pushdown.set_bcache_backend machine bcache;
       Option.iter
         (fun store -> Kernel.Vfs.set_cas vfs (Some (Kernel.Cas.vfs_hooks store)))
         cas;

@@ -6,7 +6,7 @@
       stack's syscall layer and normalizes each result to a
       {!Model.outcome};
     - a differential driver that runs the same trace through any subset
-      of the three stacks and diffs every op's outcome against the
+      of the {!Stacks} and diffs every op's outcome against the
       oracle's;
     - a crash-point enumerator: during one live run it snapshots the
       device at every write/flush command boundary
@@ -112,26 +112,30 @@ type divergence = {
 
 let default_disk_blocks = 32768 (* 128 MB *)
 
+(** The stacks [check --fs all] covers: those the crash checker finds
+    clean. The C-kernel baseline still has known crash bugs. *)
+let crash_clean = Stacks.[ Bento; Fuse; Ext4 ]
+
 (** Run the whole trace through one stack on a fresh machine. *)
 let run_stack ?(disk_blocks = default_disk_blocks) (trace : Workload.trace)
     kind : Model.outcome array =
   let machine = Kernel.Machine.create ~disk_blocks ~block_size:4096 () in
   let n = Workload.n_ops trace in
   let out = Array.make n Model.Ok_unit in
-  Kernel.Machine.spawn ~name:("check-" ^ Stack.name kind) machine (fun () ->
-      Stack.mkfs kind machine;
-      let m = Stack.mount kind machine in
+  Kernel.Machine.spawn ~name:("check-" ^ Stacks.name kind) machine (fun () ->
+      Stacks.mkfs kind machine;
+      let os, unmount = Stacks.mount ~background:false kind machine in
       Array.iteri
         (fun i op ->
-          out.(i) <- exec_op m.Stack.os ~seed:trace.Workload.seed ~opidx:i op)
+          out.(i) <- exec_op os ~seed:trace.Workload.seed ~opidx:i op)
         trace.Workload.ops;
-      m.Stack.unmount ());
+      unmount ());
   Kernel.Machine.run machine;
   out
 
 (** Diff every stack's per-op outcomes against the oracle's. *)
 let differential ?disk_blocks (trace : Workload.trace)
-    (stacks : Stack.kind list) : divergence list =
+    (stacks : Stacks.t list) : divergence list =
   let results =
     List.map (fun k -> (k, run_stack ?disk_blocks trace k)) stacks
   in
@@ -151,7 +155,7 @@ let differential ?disk_blocks (trace : Workload.trace)
             d_expected = Model.outcome_to_string expected;
             d_got =
               List.map
-                (fun (k, o) -> (Stack.name k, Model.outcome_to_string o))
+                (fun (k, o) -> (Stacks.name k, Model.outcome_to_string o))
                 got;
           }
           :: !divs)
@@ -208,17 +212,17 @@ let capture_run ?(disk_blocks = default_disk_blocks) (trace : Workload.trace)
           }
           :: !points
   in
-  Kernel.Machine.spawn ~name:("crash-" ^ Stack.name kind) machine (fun () ->
-      Stack.mkfs kind machine;
+  Kernel.Machine.spawn ~name:("crash-" ^ Stacks.name kind) machine (fun () ->
+      Stacks.mkfs kind machine;
       (* Make the fresh image durable: a crash before the first barrier
          must still find a mountable file system. *)
       Device.Ssd.flush dev;
-      let m = Stack.mount kind machine in
+      let os, unmount = Stacks.mount ~background:false kind machine in
       Device.Ssd.set_command_hook dev (Some capture);
       Array.iteri
         (fun i op ->
           started := i;
-          let o = exec_op m.Stack.os ~seed:trace.Workload.seed ~opidx:i op in
+          let o = exec_op os ~seed:trace.Workload.seed ~opidx:i op in
           completed := i;
           match (op, o) with
           | (Model.Fsync _ | Model.Sync), Model.Ok_unit -> barrier := i
@@ -226,7 +230,7 @@ let capture_run ?(disk_blocks = default_disk_blocks) (trace : Workload.trace)
         trace.Workload.ops;
       (* Crash points inside unmount writeback are still bounded by the
          final op. *)
-      m.Stack.unmount ();
+      unmount ();
       Device.Ssd.set_command_hook dev None);
   Kernel.Machine.run machine;
   List.rev !points
@@ -475,20 +479,20 @@ let replay_point ?(disk_blocks = default_disk_blocks) ?(inject_bug = false)
         (fun (blk, b) ->
           if Sim.Rng.float rng < p then Device.Ssd.Offline.write dev blk b)
         pt.volatile);
-  if inject_bug then Stack.nuke_log kind machine;
+  if inject_bug then Stacks.nuke_log kind machine;
   let rows = ref [] in
   let failed = ref None in
   Kernel.Machine.spawn ~name:"replay" machine (fun () ->
-      match Stack.mount kind machine with
-      | m ->
+      match Stacks.mount ~background:false kind machine with
+      | os, unmount ->
           (* always unmount, even when the walk fails: the FUSE daemon
              fiber must be stopped or the machine can never drain *)
-          (try rows := walk m.Stack.os
+          (try rows := walk os
            with
           | Walk_failed msg -> failed := Some msg
           | Kernel.Errno.Error e ->
               failed := Some ("walk: " ^ Kernel.Errno.to_string e));
-          m.Stack.unmount ()
+          unmount ()
       | exception Kernel.Errno.Error e ->
           failed := Some ("mount: " ^ Kernel.Errno.to_string e));
   (try Kernel.Machine.run machine
@@ -497,7 +501,7 @@ let replay_point ?(disk_blocks = default_disk_blocks) ?(inject_bug = false)
     match !failed with
     | Some m -> Error ("recovery failed: " ^ m)
     | None -> (
-        match Stack.fsck_errors kind machine with
+        match Stacks.fsck kind machine with
         | [] -> check_recovered trace ~canons pt.pctx !rows
         | errs ->
             Error
@@ -597,7 +601,7 @@ let crash_check ?disk_blocks ?(inject_bug = false) ?(mode = All)
       | None -> ())
     torn;
   {
-    c_stack = Stack.name kind;
+    c_stack = Stacks.name kind;
     c_points_captured = List.length points;
     c_points_tested = List.length clean;
     c_torn_tested = List.length torn;
@@ -621,7 +625,7 @@ let report_ok r =
 
 (** Run the full checker over an already-built trace. *)
 let run_trace ?disk_blocks ?inject_bug ?(mode = Some (Sample 32))
-    ~(stacks : Stack.kind list) (trace : Workload.trace) : report =
+    ~(stacks : Stacks.t list) (trace : Workload.trace) : report =
   let divergences = differential ?disk_blocks trace stacks in
   let crashes =
     match mode with

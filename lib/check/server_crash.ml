@@ -105,12 +105,12 @@ let capture_run ~disk_blocks ~sessions ~seed : point list * bool array =
           :: !points
   in
   Kernel.Machine.spawn ~name:"server-crash" machine (fun () ->
-      Stack.mkfs Stack.Xv6 machine;
+      Stacks.mkfs Stacks.Bento machine;
       (* a crash before any commit must still find a mountable image *)
       Device.Ssd.flush dev;
-      let m = Stack.mount Stack.Xv6 machine in
+      let os, unmount = Stacks.mount ~background:false Stacks.Bento machine in
       let server =
-        Server.Fileserver.start machine m.Stack.os
+        Server.Fileserver.start machine os
           { Server.Fileserver.tenants; max_inflight_total = 32 }
       in
       let listener = Server.Fileserver.listener server in
@@ -168,7 +168,7 @@ let capture_run ~disk_blocks ~sessions ~seed : point list * bool array =
       done;
       Device.Ssd.set_command_hook dev None;
       Server.Fileserver.stop server;
-      m.Stack.unmount ());
+      unmount ());
   Kernel.Machine.run machine;
   (List.rev !points, committed)
 
@@ -234,18 +234,18 @@ let replay_point ~disk_blocks ~inject_bug ~sessions ~seed (pt : point)
         (fun (blk, b) ->
           if Sim.Rng.float rng < p then Device.Ssd.Offline.write dev blk b)
         pt.volatile);
-  if inject_bug then Stack.nuke_log Stack.Xv6 machine;
+  if inject_bug then Stacks.nuke_log Stacks.Bento machine;
   let contents =
     Array.make sessions (Error Kernel.Errno.EIO : (Bytes.t, _) result)
   in
   let failed = ref None in
   Kernel.Machine.spawn ~name:"server-crash-replay" machine (fun () ->
-      match Stack.mount Stack.Xv6 machine with
-      | m ->
+      match Stacks.mount ~background:false Stacks.Bento machine with
+      | os, unmount ->
           for i = 0 to sessions - 1 do
-            contents.(i) <- Kernel.Os.read_file m.Stack.os (session_path i)
+            contents.(i) <- Kernel.Os.read_file os (session_path i)
           done;
-          m.Stack.unmount ()
+          unmount ()
       | exception Kernel.Errno.Error e ->
           failed := Some ("mount: " ^ Kernel.Errno.to_string e));
   (try Kernel.Machine.run machine
@@ -257,7 +257,7 @@ let replay_point ~disk_blocks ~inject_bug ~sessions ~seed (pt : point)
   match !failed with
   | Some m -> [ fail ~session:(-1) ("recovery failed: " ^ m) ]
   | None -> (
-      match Stack.fsck_errors Stack.Xv6 machine with
+      match Stacks.fsck Stacks.Bento machine with
       | _ :: _ as errs ->
           [
             fail ~session:(-1)

@@ -418,16 +418,10 @@ let verify_manifest t mid =
         m.m_files
 
 (* ------------------------------------------------------------------ *)
-(* Machine registry: workloads reach the store through the machine the
-   Targets harness hands them                                          *)
+(* Per-machine slot: workloads reach the store through the machine the
+   bench harness hands them                                            *)
 
-let registry : (Machine.t * t) list ref = ref []
-
-let register machine t =
-  registry := (machine, t) :: List.filter (fun (m, _) -> m != machine) !registry
-
-let unregister machine =
-  registry := List.filter (fun (m, _) -> m != machine) !registry
-
-let of_machine machine =
-  List.find_opt (fun (m, _) -> m == machine) !registry |> Option.map snd
+let key : t Machine.key = Machine.new_key ()
+let register machine t = Machine.set_slot machine key (Some t)
+let unregister machine = Machine.set_slot machine key None
+let of_machine machine = Machine.slot machine key

@@ -19,7 +19,12 @@ type t = {
       (** live internal-state probes (bcache residency, lease table, WFQ
           depths, ...), newest first, keyed by name — [inspect] snapshots
           them all *)
+  mutable slots : binding list;
+      (** per-machine state of kernel subsystems (pushdown registry, CAS
+          store), one entry per {!key}: it lives and dies with the machine *)
 }
+
+and binding = Binding : 'a Type.Id.t * 'a -> binding
 
 let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
   let engine = Sim.Engine.create () in
@@ -42,6 +47,7 @@ let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
     flight;
     registries = [ ("machine", stats); ("ssd", Device.Ssd.stats disk) ];
     inspectors = [];
+    slots = [];
   }
 
 let engine t = t.engine
@@ -92,6 +98,24 @@ let inspect t : Util.Json.t =
   in
   Util.Json.Obj
     (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
+
+type 'a key = 'a Type.Id.t
+
+let new_key () = Type.Id.make ()
+
+let slot (type a) t (key : a key) : a option =
+  List.find_map
+    (fun (Binding (k, v)) ->
+      match Type.Id.provably_equal key k with
+      | Some Type.Equal -> Some (v : a)
+      | None -> None)
+    t.slots
+
+let set_slot t key v =
+  let others =
+    List.filter (fun (Binding (k, _)) -> Type.Id.uid k <> Type.Id.uid key) t.slots
+  in
+  t.slots <- (match v with Some v -> Binding (key, v) :: others | None -> others)
 
 (** All counters of the machine and its registered subsystems as
     ["prefix.name"] pairs, sorted; duplicate names are summed. *)

@@ -52,6 +52,20 @@ val inspect : t -> Util.Json.t
     A probe that raises contributes an ["error"] object instead of
     aborting — inspection must work on a wedged machine. *)
 
+type 'a key
+(** A typed per-machine slot. A subsystem with per-machine state (the
+    pushdown registry, the CAS store) makes one key at module
+    initialisation and keeps its state on the machine, so the state is
+    dropped with the machine; no module-level table holds a machine. *)
+
+val new_key : unit -> 'a key
+
+val slot : t -> 'a key -> 'a option
+(** The machine's value under [key], if set. *)
+
+val set_slot : t -> 'a key -> 'a option -> unit
+(** Set ([Some v]) or clear ([None]) the machine's value under [key]. *)
+
 val now : t -> int64
 
 val cpu_work : t -> int64 -> unit

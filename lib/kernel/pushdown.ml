@@ -45,7 +45,7 @@ let kind_of = function
 
 (* Per-machine registry, same idiom as {!Cas}: workloads and layers reach
    the registry through the machine they already hold. *)
-let registries : (Machine.t * t) list ref = ref []
+let key : t Machine.key = Machine.new_key ()
 
 let table t =
   List.rev_map
@@ -55,8 +55,8 @@ let table t =
     t.entries
 
 let registry machine =
-  match List.find_opt (fun (m, _) -> m == machine) !registries with
-  | Some (_, t) -> t
+  match Machine.slot machine key with
+  | Some t -> t
   | None ->
       let t =
         {
@@ -69,7 +69,7 @@ let registry machine =
           aborts = Machine.counter machine "pushdown_aborts";
         }
       in
-      registries := (machine, t) :: !registries;
+      Machine.set_slot machine key (Some t);
       Machine.register_inspector machine ~name:"pushdown" (fun () ->
           let open Util.Json in
           Obj
@@ -140,6 +140,13 @@ let find t name = Option.map (fun e -> e.e_prog) (find_entry t name)
 let set_backend t ~label fetch =
   t.backend <- Some fetch;
   t.backend_label <- label
+
+let set_bcache_backend machine bc =
+  set_backend (registry machine) ~label:"bcache" (fun blk ->
+      let b = Bcache.bread bc blk in
+      let d = Bytes.copy b.Bcache.data in
+      Bcache.brelse bc b;
+      d)
 
 (* ------------------------------------------------------------------ *)
 (* Index-block layout.                                                 *)

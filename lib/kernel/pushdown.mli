@@ -53,6 +53,11 @@ val set_backend : t -> label:string -> (int -> Bytes.t) -> unit
     buffer cache (sharding + admission respected), the FUSE runtime reads
     the shared device directly — either way, no caller crossing. *)
 
+val set_bcache_backend : Machine.t -> Bcache.t -> unit
+(** Attach the kernel runtime's backend: walks read through the given
+    buffer cache (the one the mounted fs uses), so sharding and admission
+    apply exactly as for fs reads. *)
+
 val table : t -> (string * string * string * int * int * int) list
 (** Registered programs: (name, client, kind, budget, invocations,
     aborts) — the inspector's rows. *)

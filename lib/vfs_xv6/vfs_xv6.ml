@@ -1563,16 +1563,7 @@ let mount ?dirty_limit ?background machine : (Kernel.Vfs.t, Kernel.Errno.t) resu
           max_file_size = L.max_file_size;
         }
       in
-      (* Pushdown walks read through the same buffer cache the fs uses,
-         from below the syscall layer. *)
-      Kernel.Pushdown.set_backend
-        (Kernel.Pushdown.registry machine)
-        ~label:"bcache"
-        (fun blk ->
-          let b = Kernel.Bcache.bread bc blk in
-          let d = Bytes.copy b.Kernel.Bcache.data in
-          Kernel.Bcache.brelse bc b;
-          d);
+      Kernel.Pushdown.set_bcache_backend machine bc;
       Ok (Kernel.Vfs.mount ?dirty_limit ?background machine ops)
 
 (** Unmount: flush everything. *)

@@ -28,6 +28,15 @@ let with_xv6 ?disk_blocks ?(maker = xv6_maker) f =
       f machine os vfs handle;
       Bento.Bentofs.unmount vfs handle)
 
+(** mkfs + mount stack [k] through the facade ([background:false]), hand
+    [f] the Os syscall layer, unmount. *)
+let with_stack ?disk_blocks k f =
+  in_sim ?disk_blocks (fun machine ->
+      Stacks.mkfs k machine;
+      let os, unmount = Stacks.mount ~background:false k machine in
+      f os;
+      unmount ())
+
 let bytes_of_string = Bytes.of_string
 
 (** Deterministic pseudo-random payload of [n] bytes. *)

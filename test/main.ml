@@ -21,7 +21,6 @@ let () =
       ("fsck", Test_fsck.suite);
       ("workloads", Test_workloads.suite);
       ("policy", Test_policy.suite);
-      ("uring", Test_uring.suite);
       ("model", Test_model.suite);
       ("vfs_xv6", Test_vfs_xv6.suite);
       ("fuse", Test_fuse.suite);
@@ -32,4 +31,5 @@ let () =
       ("cas", Test_cas.suite);
       ("pushdown", Test_pushdown.suite);
       ("check", Test_check.suite);
+      ("stacks", Test_stacks.suite);
     ]

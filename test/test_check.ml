@@ -53,13 +53,13 @@ let test_oracle_errnos () =
     expect
 
 (* ------------------------------------------------------------------ *)
-(* Differential: all three stacks vs the oracle                        *)
+(* Differential: all four stacks vs the oracle                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_differential_smoke () =
   with_seed ~default:42 @@ fun seed ->
   let r =
-    Check.Checker.run ~seed ~ops:120 ~stacks:Check.Stack.all ~mode:None ()
+    Check.Checker.run ~seed ~ops:120 ~stacks:Stacks.all ~mode:None ()
   in
   report_clean "differential (no crash points)" r
 
@@ -74,7 +74,7 @@ let crash_smoke kind () =
       ~mode:(Some (Check.Checker.Sample 8))
       ()
   in
-  report_clean (Check.Stack.name kind ^ " crash smoke") r
+  report_clean (Stacks.name kind ^ " crash smoke") r
 
 (* ------------------------------------------------------------------ *)
 (* Handcrafted traces: rename and symlink crash behaviour (every crash
@@ -89,8 +89,8 @@ let check_handcrafted label ops =
         Check.Checker.run_trace ~stacks:[ kind ]
           ~mode:(Some Check.Checker.All) trace
       in
-      report_clean (label ^ " on " ^ Check.Stack.name kind) r)
-    Check.Stack.all
+      report_clean (label ^ " on " ^ Stacks.name kind) r)
+    Check.Checker.crash_clean
 
 let test_rename_crash_atomicity () =
   let open Check.Model in
@@ -166,7 +166,7 @@ let test_scatter_batch_crash () =
 let test_inject_bug_is_caught () =
   let r =
     Check.Checker.run ~inject_bug:true ~seed:1 ~ops:60
-      ~stacks:[ Check.Stack.Xv6 ]
+      ~stacks:[ Stacks.Bento ]
       ~mode:(Some (Check.Checker.Sample 32))
       ()
   in
@@ -568,9 +568,9 @@ let suite =
   [
     tc "oracle errnos" `Quick test_oracle_errnos;
     tc "differential smoke (all stacks)" `Quick test_differential_smoke;
-    tc "crash smoke xv6" `Quick (crash_smoke Check.Stack.Xv6);
-    tc "crash smoke fuse" `Quick (crash_smoke Check.Stack.Fuse);
-    tc "crash smoke ext4" `Quick (crash_smoke Check.Stack.Ext4);
+    tc "crash smoke xv6" `Quick (crash_smoke Stacks.Bento);
+    tc "crash smoke fuse" `Quick (crash_smoke Stacks.Fuse);
+    tc "crash smoke ext4" `Quick (crash_smoke Stacks.Ext4);
     tc "rename crash atomicity" `Quick test_rename_crash_atomicity;
     tc "symlink crash behaviour" `Quick test_symlink_crash_behaviour;
     tc "mid-batch scatter crash" `Quick test_scatter_batch_crash;

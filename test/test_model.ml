@@ -185,33 +185,11 @@ let check_against_model os (m : model) label =
         then Alcotest.failf "%s: unexpected entry %s" label n)
     entries
 
-let run_sequence_on label mount_fn ops =
-  in_sim ~disk_blocks:65536 (fun machine ->
-      let os, finish = mount_fn machine in
+let run_sequence_on label k ops =
+  with_stack ~disk_blocks:65536 k (fun os ->
       let m = model_create () in
       List.iter (fun op -> apply os m op) ops;
-      check_against_model os m label;
-      finish ())
-
-let mount_bento machine =
-  ok (Bento.Bentofs.mkfs machine xv6_maker);
-  let vfs, h = ok (Bento.Bentofs.mount ~background:false machine xv6_maker) in
-  (Kernel.Os.create vfs, fun () -> Bento.Bentofs.unmount vfs h)
-
-let mount_c machine =
-  ok (Vfs_xv6.mkfs machine);
-  let vfs = ok (Vfs_xv6.mount ~background:false machine) in
-  (Kernel.Os.create vfs, fun () -> Vfs_xv6.unmount vfs)
-
-let mount_fuse machine =
-  ok (Bento.Bentofs.mkfs machine xv6_maker);
-  let vfs, h = ok (Bento_user.mount ~background:false machine xv6_maker) in
-  (Kernel.Os.create vfs, fun () -> Bento_user.unmount vfs h)
-
-let mount_ext4 machine =
-  ok (Ext4sim.Ext4.mkfs machine);
-  let vfs, h = ok (Ext4sim.Ext4.mount ~background:false machine) in
-  (Kernel.Os.create vfs, fun () -> Ext4sim.Ext4.unmount vfs h)
+      check_against_model os m label)
 
 let gen_ops = QCheck.Gen.(list_size (int_range 20 60) gen_op)
 
@@ -227,17 +205,17 @@ let show_op = function
 
 let show_ops ops = String.concat "; " (List.map show_op ops)
 
-let prop_model name mount_fn count =
+let prop_model name k count =
   QCheck.Test.make ~count ~name (QCheck.make ~print:show_ops gen_ops) (fun ops ->
-      run_sequence_on name mount_fn ops;
+      run_sequence_on name k ops;
       true)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest (prop_model "model: bento xv6" mount_bento 20);
-    QCheck_alcotest.to_alcotest (prop_model "model: c-kernel xv6" mount_c 10);
-    QCheck_alcotest.to_alcotest (prop_model "model: fuse xv6" mount_fuse 5);
-    QCheck_alcotest.to_alcotest (prop_model "model: ext4" mount_ext4 10);
+    QCheck_alcotest.to_alcotest (prop_model "model: bento xv6" Stacks.Bento 20);
+    QCheck_alcotest.to_alcotest (prop_model "model: c-kernel xv6" Stacks.Ckernel 10);
+    QCheck_alcotest.to_alcotest (prop_model "model: fuse xv6" Stacks.Fuse 5);
+    QCheck_alcotest.to_alcotest (prop_model "model: ext4" Stacks.Ext4 10);
     tc "fixed regression sequence" `Quick (fun () ->
         (* a hand-picked sequence covering rename-over-link + truncate *)
         let ops =
@@ -253,5 +231,5 @@ let suite =
             Rmdir 0;
           ]
         in
-        run_sequence_on "fixed" mount_bento ops);
+        run_sequence_on "fixed" Stacks.Bento ops);
   ]

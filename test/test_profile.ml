@@ -1,7 +1,7 @@
 (** Tests of the virtual-time profiler: frame semantics on a bare engine,
     and the conservation law — every virtual nanosecond of a run is
     attributed to exactly one folded stack, so the per-layer self times
-    sum to the elapsed window — on all three file-system stacks. Also
+    sum to the elapsed window — on all four file-system stacks. Also
     checks the paper's headline explanatory counter: FUSE crossings equal
     the transport's request + reply message count. *)
 
@@ -102,9 +102,8 @@ let run_profiled kind =
   let p = Kernel.Machine.profile machine in
   Sim.Profile.enable p;
   Kernel.Machine.spawn machine (fun () ->
-      Check.Stack.mkfs kind machine;
-      let m = Check.Stack.mount kind machine in
-      let os = m.Check.Stack.os in
+      Stacks.mkfs kind machine;
+      let os, unmount = Stacks.mount ~background:false kind machine in
       ok (Kernel.Os.mkdir os "/d");
       for i = 0 to 19 do
         let path = Printf.sprintf "/d/f%d" i in
@@ -112,7 +111,7 @@ let run_profiled kind =
         ignore (ok (Kernel.Os.read_file os path))
       done;
       ok (Kernel.Os.sync os);
-      m.Check.Stack.unmount ());
+      unmount ());
   Kernel.Machine.run machine;
   Sim.Profile.disable p;
   (machine, p)
@@ -124,9 +123,9 @@ let check_conservation kind =
   let _machine, p = run_profiled kind in
   let elapsed = Sim.Profile.elapsed p in
   if Int64.compare elapsed 0L <= 0 then
-    Alcotest.failf "%s: run consumed no virtual time" (Check.Stack.name kind);
+    Alcotest.failf "%s: run consumed no virtual time" (Stacks.name kind);
   Alcotest.(check int64)
-    (Check.Stack.name kind ^ ": attributed = elapsed")
+    (Stacks.name kind ^ ": attributed = elapsed")
     elapsed (Sim.Profile.attributed p);
   let sum_self =
     List.fold_left
@@ -134,30 +133,31 @@ let check_conservation kind =
       0L (Sim.Profile.summary p)
   in
   Alcotest.(check int64)
-    (Check.Stack.name kind ^ ": summary self sums to elapsed")
+    (Stacks.name kind ^ ": summary self sums to elapsed")
     elapsed sum_self;
   let sum_folded =
     List.fold_left (fun acc (_, ns) -> Int64.add acc ns) 0L
       (Sim.Profile.folded p)
   in
   Alcotest.(check int64)
-    (Check.Stack.name kind ^ ": folded sums to elapsed")
+    (Stacks.name kind ^ ": folded sums to elapsed")
     elapsed sum_folded;
   let layers = layer_names p in
   List.iter
     (fun l ->
       if not (List.mem l layers) then
         Alcotest.failf "%s: expected layer %s in summary (got %s)"
-          (Check.Stack.name kind) l
+          (Stacks.name kind) l
           (String.concat ", " layers))
     [ "vfs"; "device-io" ]
 
-let test_conservation_xv6 () = check_conservation Check.Stack.Xv6
-let test_conservation_ext4 () = check_conservation Check.Stack.Ext4
+let test_conservation_xv6 () = check_conservation Stacks.Bento
+let test_conservation_ext4 () = check_conservation Stacks.Ext4
+let test_conservation_ckernel () = check_conservation Stacks.Ckernel
 
 let test_conservation_fuse () =
-  check_conservation Check.Stack.Fuse;
-  let machine, p = run_profiled Check.Stack.Fuse in
+  check_conservation Stacks.Fuse;
+  let machine, p = run_profiled Stacks.Fuse in
   (* FUSE runs must show transport time, and the machine-wide crossing
      counter must equal the transport's message count *)
   if not (List.mem "fuse-transport" (layer_names p)) then
@@ -176,7 +176,7 @@ let test_conservation_fuse () =
     crossings
 
 let test_non_fuse_has_no_crossings () =
-  let machine, _p = run_profiled Check.Stack.Xv6 in
+  let machine, _p = run_profiled Stacks.Bento in
   let counters = Kernel.Machine.counter_snapshot machine in
   Alcotest.(check int64) "kernel stack crosses zero times" 0L
     (Option.value ~default:0L
@@ -192,6 +192,7 @@ let suite =
     tc "conservation: xv6 (BentoFS)" `Quick test_conservation_xv6;
     tc "conservation: fuse + crossing count" `Quick test_conservation_fuse;
     tc "conservation: ext4 (jbd2)" `Quick test_conservation_ext4;
+    tc "conservation: ckernel (C baseline)" `Quick test_conservation_ckernel;
     tc "kernel stacks have zero fuse crossings" `Quick
       test_non_fuse_has_no_crossings;
   ]

@@ -45,28 +45,7 @@ let exercise os =
   ok (Kernel.Os.symlink os "/loopA" "/loopB");
   check_res "ELOOP" Kernel.Errno.ELOOP (Kernel.Os.stat os "/loopA")
 
-let test_bento () = with_xv6 (fun _m os _ _ -> exercise os)
-
-let test_c_kernel () =
-  in_sim (fun machine ->
-      ok (Vfs_xv6.mkfs machine);
-      let vfs = ok (Vfs_xv6.mount ~background:false machine) in
-      exercise (Kernel.Os.create vfs);
-      Vfs_xv6.unmount vfs)
-
-let test_fuse () =
-  in_sim (fun machine ->
-      ok (Bento.Bentofs.mkfs machine xv6_maker);
-      let vfs, h = ok (Bento_user.mount ~background:false machine xv6_maker) in
-      exercise (Kernel.Os.create vfs);
-      Bento_user.unmount vfs h)
-
-let test_ext4 () =
-  in_sim (fun machine ->
-      ok (Ext4sim.Ext4.mkfs machine);
-      let vfs, h = ok (Ext4sim.Ext4.mount ~background:false machine) in
-      exercise (Kernel.Os.create vfs);
-      Ext4sim.Ext4.unmount vfs h)
+let test_stack k () = with_stack k exercise
 
 let test_symlink_persists () =
   in_sim (fun machine ->
@@ -86,9 +65,9 @@ let test_symlink_persists () =
 
 let suite =
   [
-    tc "bento xv6fs" `Quick test_bento;
-    tc "c-kernel xv6" `Quick test_c_kernel;
-    tc "fuse" `Quick test_fuse;
-    tc "ext4" `Quick test_ext4;
+    tc "bento xv6fs" `Quick (test_stack Stacks.Bento);
+    tc "c-kernel xv6" `Quick (test_stack Stacks.Ckernel);
+    tc "fuse" `Quick (test_stack Stacks.Fuse);
+    tc "ext4" `Quick (test_stack Stacks.Ext4);
     tc "persists across remount" `Quick test_symlink_persists;
   ]
