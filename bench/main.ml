@@ -670,25 +670,6 @@ let ablate () =
     (Workloads.Bench_result.ops_per_sec fuse_c)
     (Workloads.Bench_result.ops_per_sec bento_c
     /. max 0.001 (Workloads.Bench_result.ops_per_sec fuse_c));
-  header "Ablation: always-on flight recorder (warm 4KB seq reads, Bento)";
-  let flight_read () =
-    Targets.run Stacks.Bento (fun os ->
-        Workloads.Micro.read_bench os ~iosize:4096 ~pattern:Workloads.Micro.Seq
-          ~nthreads:1 ~duration:(dur ()) ~file_mb:128 ~seed:!seed)
-  in
-  let fl_on = flight_read () in
-  record ~section:"ablate" ~system:Stacks.Bento
-    ~config:"read-seq-4k-flight-on" fl_on;
-  Targets.flight_enabled := false;
-  let fl_off = flight_read () in
-  Targets.flight_enabled := true;
-  record ~section:"ablate" ~system:Stacks.Bento
-    ~config:"read-seq-4k-flight-off" fl_off;
-  let on_ops = Workloads.Bench_result.ops_per_sec fl_on in
-  let off_ops = Workloads.Bench_result.ops_per_sec fl_off in
-  pf "warm 4KB reads: recorder on %.0f/s  off %.0f/s  overhead %.2f%%\n%!"
-    on_ops off_ops
-    (if off_ops > 0. then (off_ops -. on_ops) /. off_ops *. 100. else 0.);
   header "Ablation: journaling strategy (varmail ops/s; xv6 sync log vs jbd2 lazy checkpoint)";
   let vm_x =
     Targets.run Stacks.Bento (fun os ->

@@ -30,13 +30,9 @@ let trace_enabled = ref false  (** additionally enable the span tracer *)
 let profile_enabled = ref false
 (** additionally enable per-layer virtual-time attribution *)
 
-let flight_enabled = ref true
-(** the always-on flight recorder; the ablation section switches it off to
-    price its overhead *)
-
 let trace_capacity = ref (1 lsl 20)
 (** ring slots when tracing: a server fleet sweep emits far more events
-    than the 64Ki default, and causal reconstruction needs the whole run *)
+    than the 4Ki default, and causal reconstruction needs the whole run *)
 
 let observations : observation list ref = ref []  (* newest first *)
 
@@ -100,7 +96,6 @@ let run ?disk_blocks ?page_cap ?cas_blocks system f =
     Sim.Trace.set_capacity (Kernel.Machine.tracer machine) !trace_capacity;
     Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true
   end;
-  Sim.Flight.set_enabled (Kernel.Machine.flight machine) !flight_enabled;
   if !profile_enabled then Sim.Profile.enable (Kernel.Machine.profile machine);
   let result = Stacks.run ?page_cap ?cas_blocks system machine f in
   if !profile_enabled then

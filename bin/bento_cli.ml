@@ -163,8 +163,8 @@ let inspect_cmd =
       value
       & opt (some string) None
       & info [ "flight" ] ~docv:"FILE"
-          ~doc:"Write the flight-recorder ring dump to $(docv) instead of \
-                stdout")
+          ~doc:"Write the flight-recorder dump (the notes in the machine \
+                tracer's ring) to $(docv) instead of stdout")
   in
   let run k json_path flight_path =
     let ok_r = function
@@ -246,8 +246,8 @@ let inspect_cmd =
     in
     emit json_path (Util.Json.to_string !captured ^ "\n") "inspector JSON";
     emit flight_path
-      (Sim.Flight.render
-         (Kernel.Machine.flight machine)
+      (Sim.Trace.render
+         (Kernel.Machine.tracer machine)
          ~reason:"bento_cli inspect" ~req:0L)
       "flight ring"
   in

@@ -768,6 +768,9 @@ let mkfs machine : unit res =
   in
   put 1 (fun d -> L.put_superblock d sb);
   put sb.L.journal_start (fun d -> L.put_jsb d ~sequence:1 ~tail:0);
+  (* Zero the first journal block: on a used device it may still hold a
+     descriptor that recovery would accept and replay onto the new fs. *)
+  put (sb.L.journal_start + 1) (fun _ -> ());
   (* group metadata *)
   for g = 0 to sb.L.ngroups - 1 do
     let meta_end = L.group_data_start sb g in

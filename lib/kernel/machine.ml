@@ -1,5 +1,6 @@
 (** The simulated machine: engine + CPU cores + the attached device + global
-    statistics + tracer + profiler. Every stack (Bento, C-VFS, FUSE, ext4)
+    statistics + tracer (the one event stream, flight-recorder notes
+    included) + profiler. Every stack (Bento, C-VFS, FUSE, ext4)
     runs on one of these. *)
 
 type t = {
@@ -10,7 +11,6 @@ type t = {
   stats : Sim.Stats.t;
   tracer : Sim.Trace.t;
   profile : Sim.Profile.t;
-  flight : Sim.Flight.t;
   mutable registries : (string * Sim.Stats.t) list;
       (** stats registries of attached subsystems (bcache, fuse transport,
           ...), newest first, each under a dotted prefix — so one snapshot
@@ -35,7 +35,6 @@ let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
       ~block_size engine
   in
   let stats = Sim.Stats.create () in
-  let flight = Sim.Flight.create ~cpus:cost.Cost.ncores engine tracer in
   {
     engine;
     cpu = Sim.Resource.create ~name:"cpu" cost.Cost.ncores;
@@ -44,7 +43,6 @@ let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
     stats;
     tracer;
     profile;
-    flight;
     registries = [ ("machine", stats); ("ssd", Device.Ssd.stats disk) ];
     inspectors = [];
     slots = [];
@@ -56,7 +54,6 @@ let cost t = t.cost
 let stats t = t.stats
 let tracer t = t.tracer
 let profile t = t.profile
-let flight t = t.flight
 let now t = Sim.Engine.now t.engine
 
 (** Run [f] under profiler layer frame [layer] (no-op while profiling is

@@ -17,16 +17,14 @@ val cost : t -> Cost.t
 val stats : t -> Sim.Stats.t
 
 val tracer : t -> Sim.Trace.t
-(** The machine-wide span tracer (disabled by default); shared with the
-    attached device so one trace covers syscall-to-flash. *)
+(** The machine-wide event stream: spans (disabled by default) and the
+    always-on flight-recorder notes, dumped on triggers (slow op, error,
+    oracle). Shared with the attached device so one trace covers
+    syscall-to-flash. *)
 
 val profile : t -> Sim.Profile.t
 (** The machine-wide virtual-time profiler (disabled by default); shared
     with the attached device so attribution covers syscall-to-flash. *)
-
-val flight : t -> Sim.Flight.t
-(** The machine-wide flight recorder: always on (one ring per core),
-    free in virtual time, dumped on triggers (slow op, error, oracle). *)
 
 val with_layer : t -> string -> (unit -> 'a) -> 'a
 (** Run a function under a profiler layer frame ("vfs", "bcache", "log",

@@ -66,15 +66,14 @@ let charge_syscall t =
 
    The wrapper also anchors the request context: a fiber arriving with no
    reqid (a local mount) gets one minted for the duration of the call, so
-   every span, flow and flight entry below it — down to the device
+   every span, flow and note below it — down to the device
    completion fibers, which inherit the context at spawn — carries the
    same id. A server handler that already set a per-request context keeps
-   it. Entry lands in the flight recorder; a call that exceeds the slow
+   it. Entry is noted in the tracer's ring; a call that exceeds the slow
    threshold or raises triggers a dump with the request's causal trace. *)
 let syscall_plain t name f =
   let machine = Vfs.machine t.vfs in
   let tr = Machine.tracer machine in
-  let fl = Machine.flight machine in
   let eng = Machine.engine machine in
   Sim.Stats.Counter.incr t.sys_count;
   let minted = Sim.Engine.current_req eng = 0L in
@@ -84,7 +83,7 @@ let syscall_plain t name f =
      layers (fs, bcache, device) push their own frames on top. *)
   Machine.with_layer machine "vfs" (fun () ->
       Sim.Trace.span_begin tr ~cat:"syscall" name;
-      Sim.Flight.note fl ~kind:"syscall" name;
+      Sim.Trace.note tr ~kind:"syscall" name;
       let t0 = Machine.now machine in
       charge_syscall t;
       match f () with
@@ -95,7 +94,7 @@ let syscall_plain t name f =
           (match t.slow_ns with
           | Some thr when Int64.compare lat thr > 0 ->
               ignore
-                (Sim.Flight.trigger fl
+                (Sim.Trace.trigger tr
                    (Printf.sprintf "slow syscall %s: %Ld ns > threshold %Ld ns"
                       name lat thr))
           | _ -> ());
@@ -104,27 +103,27 @@ let syscall_plain t name f =
       | exception exn ->
           (* Oracle failures and fault-injection surface as exceptions:
              capture the dump before unwinding kills the fiber. *)
-          Sim.Flight.note ~sev:Sim.Flight.Error fl ~kind:"syscall"
+          Sim.Trace.note ~sev:Sim.Trace.Error tr ~kind:"syscall"
             (Printf.sprintf "%s raised %s" name (Printexc.to_string exn));
           ignore
-            (Sim.Flight.trigger fl
+            (Sim.Trace.trigger tr
                (Printf.sprintf "syscall %s raised %s" name
                   (Printexc.to_string exn)));
           clear_req ();
           raise exn)
 
-(* Result-returning syscalls (all but [statfs]) also log errno returns to
-   the flight recorder, and — when [set_trigger_errors] — dump on them. *)
+(* Result-returning syscalls (all but [statfs]) also note errno returns,
+   and — when [set_trigger_errors] — dump on them. *)
 let syscall t name (f : unit -> 'a res) : 'a res =
   syscall_plain t name (fun () ->
       match f () with
       | Error e as r ->
-          let fl = Machine.flight (Vfs.machine t.vfs) in
-          Sim.Flight.note ~sev:Sim.Flight.Warn fl ~kind:"errno"
+          let tr = Machine.tracer (Vfs.machine t.vfs) in
+          Sim.Trace.note ~sev:Sim.Trace.Warn tr ~kind:"errno"
             (Printf.sprintf "%s -> %s" name (Errno.to_string e));
           if t.trigger_errors then
             ignore
-              (Sim.Flight.trigger fl
+              (Sim.Trace.trigger tr
                  (Printf.sprintf "syscall %s returned %s" name
                     (Errno.to_string e)));
           r

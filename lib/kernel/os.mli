@@ -31,13 +31,13 @@ val vfs : t -> Vfs.t
 
 val set_slow_threshold : t -> int64 option -> unit
 (** Latency threshold (virtual ns): a syscall exceeding it triggers a
-    flight-recorder dump carrying its causal trace. [None] (default)
+    flight-recorder dump ({!Sim.Trace.trigger}) carrying its causal trace. [None] (default)
     disables the trigger. *)
 
 val set_trigger_errors : t -> bool -> unit
 (** Also trigger a dump when a syscall returns [Error _]. Off by default —
     ENOENT probes are routine in workloads; errno returns are always noted
-    in the flight ring regardless. *)
+    in the machine tracer's ring regardless. *)
 
 (** {1 Files} *)
 

@@ -22,17 +22,17 @@ let level_enabled l =
   | _, Quiet -> false
 
 let severity_of = function
-  | Err -> Sim.Flight.Error
-  | Info -> Sim.Flight.Info
-  | Debug | Quiet -> Sim.Flight.Debug
+  | Err -> Sim.Trace.Error
+  | Info -> Sim.Trace.Info
+  | Debug | Quiet -> Sim.Trace.Debug
 
 let emit machine l fmt =
   Printf.ksprintf
     (fun s ->
-      (* Every line lands in the flight recorder regardless of the stderr
-         level, so triggered dumps interleave kernel log lines with the
-         op/IO entries in event order. *)
-      Sim.Flight.note ~sev:(severity_of l) (Machine.flight machine)
+      (* Every line is noted in the machine tracer regardless of the
+         stderr level, so triggered dumps interleave kernel log lines with
+         the op/IO notes in event order. *)
+      Sim.Trace.note ~sev:(severity_of l) (Machine.tracer machine)
         ~kind:"printk" s;
       if level_enabled l then
         Printf.eprintf "[%12.6f] %s\n%!"

@@ -176,10 +176,7 @@ let step e steps =
 let abort t e =
   e.e_aborts <- e.e_aborts + 1;
   Sim.Stats.Counter.incr t.aborts;
-  Sim.Flight.note
-    ~sev:Sim.Flight.Warn
-    (Machine.flight t.machine)
-    ~kind:"pushdown"
+  Sim.Trace.note ~sev:Sim.Trace.Warn (Machine.tracer t.machine) ~kind:"pushdown"
     (Printf.sprintf "%s aborted: step budget %d exhausted" e.e_name e.e_budget);
   Error Errno.ELOOP
 

@@ -385,14 +385,14 @@ let check_accounting_body t =
                  "vfs: %d aliases of cas hash %Lx but no shared entry" n h))
         aliases
 
-(* The oracle firing is exactly the moment the flight recorder exists
-   for: capture the ring and the current request's causal trace before
-   the failure unwinds the fiber. *)
+(* The oracle firing is exactly the moment the flight record exists for:
+   capture the notes and the current request's causal trace before the
+   failure unwinds the fiber. *)
 let check_accounting t =
   try check_accounting_body t
   with Failure msg as e ->
     ignore
-      (Sim.Flight.trigger (Machine.flight t.machine)
+      (Sim.Trace.trigger (Machine.tracer t.machine)
          ("accounting oracle: " ^ msg));
     raise e
 

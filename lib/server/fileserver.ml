@@ -266,9 +266,7 @@ let lease_plan t (req : Proto.request) : (int * Lease.kind) option =
 let handle t (sess : session) xid (req : Proto.request) =
   let t0 = Kernel.Machine.now t.sv_machine in
   let tenant = sess.s_tenant in
-  Sim.Flight.note
-    (Kernel.Machine.flight t.sv_machine)
-    ~kind:"server"
+  Sim.Trace.note (Kernel.Machine.tracer t.sv_machine) ~kind:"server"
     (Printf.sprintf "%s xid=%d tenant=%s" (Proto.request_name req) xid tenant);
   let cost = request_cost req in
   let reply =

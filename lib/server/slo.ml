@@ -7,7 +7,7 @@
     of window samples over the tenant's latency target. The *burn rate*
     is the fraction of the window over target; when it exceeds the error
     budget the tenant enters a breach episode — counted once per episode
-    (edge-triggered), noted in the flight recorder, and cleared when the
+    (edge-triggered), noted in the machine tracer, and cleared when the
     burn rate falls back under budget.
 
     Counters ([<tenant>_ops], [<tenant>_over_target], [<tenant>_breaches])
@@ -102,8 +102,7 @@ let record t ~tenant lat_ns =
     if burn > t.budget && not m.m_breaching then begin
       m.m_breaching <- true;
       Sim.Stats.Counter.incr m.m_breaches;
-      Sim.Flight.note ~sev:Sim.Flight.Warn
-        (Kernel.Machine.flight t.machine)
+      Sim.Trace.note ~sev:Sim.Trace.Warn (Kernel.Machine.tracer t.machine)
         ~kind:"slo"
         (Printf.sprintf "tenant %s burn rate %.3f over budget %.3f (%d/%d over %Ld ns)"
            tenant burn t.budget m.m_over n m.m_target_ns)

@@ -1,4 +1,5 @@
-(** Span/event tracer over virtual time.
+(** Span/event tracer over virtual time, and the machine's one event
+    stream.
 
     Layers emit begin/end spans and instant events stamped with the
     engine's virtual clock and the running fiber's id. Events land in a
@@ -6,6 +7,15 @@
     a fixed amount of memory. A disabled tracer reduces every emit to one
     branch — and never perturbs virtual time either way, since emitting
     performs no sleeps and no CPU accounting.
+
+    The same ring holds the always-on flight record: severity-tagged
+    {!note}s (syscall entries, errno returns, printk lines, server
+    requests) are recorded whether or not span tracing is enabled. When
+    something goes wrong — an op over its latency threshold, an error
+    return, an accounting oracle firing — the caller {!trigger}s a dump:
+    the retained notes plus the offending request's causal trace (every
+    event stamped with that reqid), rendered to text and kept as
+    {!last_dump}.
 
     Every event also carries the engine's *request context*
     ({!Engine.current_req}): fibers inherit it at spawn, so one request's
@@ -16,11 +26,26 @@
     (see {!Causal}).
 
     Export is Chrome trace-event JSON (the "JSON array format"), loadable
-    in chrome://tracing and Perfetto: spans become B/E pairs, instants
-    become "i" events, flows become "s"/"f" pairs bound by id, fibers map
-    to tids. *)
+    in chrome://tracing and Perfetto: spans become B/E pairs, instants and
+    notes become "i" events, flows become "s"/"f" pairs bound by id,
+    fibers map to tids. *)
 
-type phase = Begin | End | Instant | Counter | Flow_start | Flow_finish
+type severity = Debug | Info | Warn | Error
+
+let severity_label = function
+  | Debug -> "debug"
+  | Info -> "info"
+  | Warn -> "warn"
+  | Error -> "error"
+
+type phase =
+  | Begin
+  | End
+  | Instant
+  | Counter
+  | Flow_start
+  | Flow_finish
+  | Note of severity  (** always-on; [cat] is the note kind, [name] its text *)
 
 type event = {
   ph : phase;
@@ -40,7 +65,7 @@ exception Unbalanced_span of string
 type t = {
   engine : Engine.t;
   mutable enabled : bool;
-  mutable ring : event option array;
+  mutable ring : event array;
   mutable head : int;  (** next slot to write *)
   mutable len : int;
   mutable dropped : int;
@@ -48,22 +73,31 @@ type t = {
   mutable debug : bool;
   open_spans : (int, string list ref) Hashtbl.t;
       (** debug mode: per-fid stack of currently open span names *)
+  mutable dumps : int;
+  mutable last_dump : (string * string) option;  (** reason, content *)
 }
 
-let default_capacity = 1 lsl 16
+let default_capacity = 4096
+let max_dumps = 16
+
+(* Filler for ring slots never written; [events] only reads written ones. *)
+let empty =
+  { ph = Instant; name = ""; cat = ""; ts = 0L; tid = -1; value = 0L; req = 0L }
 
 let create ?(capacity = default_capacity) engine =
   if capacity < 1 then invalid_arg "Trace.create";
   {
     engine;
     enabled = false;
-    ring = Array.make capacity None;
+    ring = Array.make capacity empty;
     head = 0;
     len = 0;
     dropped = 0;
     next_flow = 0L;
     debug = false;
     open_spans = Hashtbl.create 64;
+    dumps = 0;
+    last_dump = None;
   }
 
 let enabled t = t.enabled
@@ -72,18 +106,18 @@ let dropped t = t.dropped
 let length t = t.len
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.ring 0 (Array.length t.ring) empty;
   t.head <- 0;
   t.len <- 0;
   t.dropped <- 0;
   Hashtbl.reset t.open_spans
 
 (** Resize the ring (clearing retained events). Long traced runs — the
-    server bench sweeps — need more than the default 64 Ki events to keep
+    server bench sweeps — need more than the default 4 Ki events to keep
     whole requests from being overwritten mid-flight. *)
 let set_capacity t capacity =
   if capacity < 1 then invalid_arg "Trace.set_capacity";
-  t.ring <- Array.make capacity None;
+  t.ring <- Array.make capacity empty;
   t.head <- 0;
   t.len <- 0;
   t.dropped <- 0
@@ -92,17 +126,22 @@ let emit ?(value = 0L) t ph cat name =
   let cap = Array.length t.ring in
   if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
   t.ring.(t.head) <-
-    Some
-      {
-        ph;
-        name;
-        cat;
-        ts = Engine.now t.engine;
-        tid = Engine.current_fid t.engine;
-        value;
-        req = Engine.current_req t.engine;
-      };
+    {
+      ph;
+      name;
+      cat;
+      ts = Engine.now t.engine;
+      tid = Engine.current_fid t.engine;
+      value;
+      req = Engine.current_req t.engine;
+    };
   t.head <- (t.head + 1) mod cap
+
+(** Record a severity-tagged note. Always on: notes bypass [enabled] and,
+    like every emit, cost no virtual time. *)
+let note ?(sev = Info) t ~kind msg = emit t (Note sev) kind msg
+
+let is_note e = match e.ph with Note _ -> true | _ -> false
 
 (* Debug-mode open-span bookkeeping. Only spans actually emitted are
    tracked, so the check costs nothing unless both tracing and debug are
@@ -211,10 +250,9 @@ let with_span t ?cat name f =
 let events t =
   let cap = Array.length t.ring in
   let first = (t.head - t.len + cap * 2) mod cap in
-  List.init t.len (fun i ->
-      match t.ring.((first + i) mod cap) with
-      | Some e -> e
-      | None -> assert false)
+  List.init t.len (fun i -> t.ring.((first + i) mod cap))
+
+let notes t = List.filter is_note (events t)
 
 (* ------------------------------------------------------------------ *)
 (* Causal reconstruction: regroup a flat event stream per request and   *)
@@ -286,15 +324,15 @@ module Causal = struct
       connected;
     }
 
-  (** Group [evs] by request id (ignoring reqid-0 background events) and
-      reconstruct each request's causal graph: fibers are nodes, matched
-      flow edges connect them. *)
+  (** Group [evs] by request id (ignoring reqid-0 background events and
+      notes) and reconstruct each request's causal graph: fibers are nodes,
+      matched flow edges connect them. *)
   let requests evs =
     let by_req : (int64, event list ref) Hashtbl.t = Hashtbl.create 256 in
     let order = ref [] in
     List.iter
       (fun (e : event) ->
-        if e.req <> 0L then
+        if e.req <> 0L && not (is_note e) then
           match Hashtbl.find_opt by_req e.req with
           | Some l -> l := e :: !l
           | None ->
@@ -345,25 +383,30 @@ let add_ts buf ts =
     (Printf.sprintf "%Ld.%03Ld" (Int64.div ts 1000L)
        (Int64.rem ts 1000L))
 
+let phase_letter = function
+  | Begin -> "B"
+  | End -> "E"
+  | Instant | Note _ -> "i"
+  | Counter -> "C"
+  | Flow_start -> "s"
+  | Flow_finish -> "f"
+
 let add_event buf ~pid e =
   Buffer.add_string buf "{\"name\":\"";
   escape_into buf e.name;
   Buffer.add_string buf "\",\"cat\":\"";
   escape_into buf (if e.cat = "" then "sim" else e.cat);
   Buffer.add_string buf "\",\"ph\":\"";
-  Buffer.add_string buf
-    (match e.ph with
-    | Begin -> "B"
-    | End -> "E"
-    | Instant -> "i"
-    | Counter -> "C"
-    | Flow_start -> "s"
-    | Flow_finish -> "f");
+  Buffer.add_string buf (phase_letter e.ph);
   Buffer.add_string buf "\",\"ts\":";
   add_ts buf e.ts;
   Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid e.tid);
   (match e.ph with
   | Instant -> Buffer.add_string buf ",\"s\":\"t\"}"
+  | Note sev ->
+      Buffer.add_string buf
+        (Printf.sprintf ",\"s\":\"t\",\"args\":{\"sev\":\"%s\"}}"
+           (severity_label sev))
   | Counter ->
       (* args key = series name within the track named by the event *)
       Buffer.add_string buf ",\"args\":{\"value\":";
@@ -425,3 +468,57 @@ let to_chrome_json ?(pid = 1) ?process_name t =
   ignore (write_events buf ~pid ?process_name ~first:true t);
   Buffer.add_char buf ']';
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Flight-recorder dumps.                                              *)
+
+(** Render the retained notes (and, for a nonzero [req], every event of
+    that request) to text. *)
+let render t ~reason ~req =
+  let buf = Buffer.create 4096 in
+  let notes = notes t in
+  Printf.bprintf buf
+    "flight-recorder dump: %s\nvirtual time: %Ld ns\nreqid: %Ld\n\
+     -- ring (%d notes retained, %d older events dropped) --\n"
+    reason (Engine.now t.engine) req (List.length notes) t.dropped;
+  List.iter
+    (fun e ->
+      match e.ph with
+      | Note sev ->
+          Printf.bprintf buf "%12Ld ns  fid=%-5d req=%-6Ld %-5s %-10s %s\n"
+            e.ts e.tid e.req (severity_label sev) e.cat e.name
+      | _ -> ())
+    notes;
+  if req <> 0L then begin
+    let evs = List.filter (fun e -> e.req = req) (events t) in
+    Printf.bprintf buf "-- causal trace for req %Ld (%d events) --\n" req
+      (List.length evs);
+    List.iter
+      (fun e ->
+        Printf.bprintf buf "%12Ld ns  fid=%-5d %s %s%s%s\n" e.ts e.tid
+          (match e.ph with Note sev -> severity_label sev | ph -> phase_letter ph)
+          (if e.cat = "" then "" else e.cat ^ ":")
+          e.name
+          (match e.ph with
+          | Flow_start | Flow_finish -> Printf.sprintf " edge=%Ld" e.value
+          | Counter -> Printf.sprintf " value=%Ld" e.value
+          | _ -> ""))
+      evs
+  end;
+  Buffer.contents buf
+
+(** Triggered dump: note the trigger, then render the notes plus the
+    causal trace of the current request and keep it as [last_dump]. At
+    most [max_dumps] per tracer; returns whether a dump was produced. *)
+let trigger t reason =
+  t.dumps < max_dumps
+  && begin
+       note ~sev:Error t ~kind:"trigger" reason;
+       t.dumps <- t.dumps + 1;
+       t.last_dump <-
+         Some (reason, render t ~reason ~req:(Engine.current_req t.engine));
+       true
+     end
+
+let dump_count t = t.dumps
+let last_dump t = t.last_dump

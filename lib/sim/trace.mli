@@ -1,16 +1,31 @@
-(** Span/event tracer over virtual time.
+(** Span/event tracer over virtual time, and the machine's one event
+    stream.
 
     Begin/end spans and instant events are stamped with the engine's
     virtual clock, the running fiber's id, and the fiber's request context
     ({!Engine.current_req}), and kept in a bounded ring buffer (oldest
-    events dropped first). Disabled — the default — every emit is a single
-    branch, and tracing never affects virtual time in either state.
+    events dropped first). Disabled — the default — every span emit is a
+    single branch, and recording never affects virtual time in either
+    state. The same ring holds the always-on flight record: severity-tagged
+    {!note}s, recorded whether or not spans are enabled, which a
+    {!trigger} renders together with the offending request's causal trace.
     Flow events record cross-fiber causal edges (submit on one fiber,
     complete on another); {!Causal} reassembles an event stream into
     per-request DAGs. Exports Chrome trace-event JSON for chrome://tracing
     / Perfetto, with fibers as threads and flows as bound arrows. *)
 
-type phase = Begin | End | Instant | Counter | Flow_start | Flow_finish
+type severity = Debug | Info | Warn | Error
+
+val severity_label : severity -> string
+
+type phase =
+  | Begin
+  | End
+  | Instant
+  | Counter
+  | Flow_start
+  | Flow_finish
+  | Note of severity  (** always-on; [cat] is the note kind, [name] its text *)
 
 type event = {
   ph : phase;
@@ -31,10 +46,13 @@ exception Unbalanced_span of string
 type t
 
 val create : ?capacity:int -> Engine.t -> t
-(** A disabled tracer with a ring of [capacity] events (default 65536). *)
+(** A tracer with spans disabled and a ring of [capacity] events (default
+    4096). *)
 
 val enabled : t -> bool
+
 val set_enabled : t -> bool -> unit
+(** Gates spans, instants, counters and flows; notes are always recorded. *)
 
 val set_capacity : t -> int -> unit
 (** Replace the ring with a fresh one of the given capacity, clearing any
@@ -74,8 +92,17 @@ val with_span : t -> ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run a function inside a begin/end pair (ended on exceptions too). When
     disabled this is just a call to the function. *)
 
+val note : ?sev:severity -> t -> kind:string -> string -> unit
+(** Record a note (default severity [Info]) of class [kind] ("syscall",
+    "errno", "printk", "server", ...) with the current fiber and request
+    context, whether or not the tracer is enabled. Exported as ["ph":"i"]
+    with [args.sev]. *)
+
 val events : t -> event list
 (** Retained events, oldest first; timestamps are nondecreasing. *)
+
+val notes : t -> event list
+(** The retained notes, oldest first. *)
 
 val length : t -> int
 val dropped : t -> int
@@ -96,7 +123,7 @@ module Causal : sig
   }
 
   val requests : event list -> request list
-  (** Group by request id (reqid-0 background events ignored) and
+  (** Group by request id (reqid-0 background events and notes ignored) and
       reconstruct each request's graph: fibers are nodes, matched flow
       edges connect them. *)
 
@@ -114,3 +141,22 @@ val write_events :
 
 val to_chrome_json : ?pid:int -> ?process_name:string -> t -> string
 (** A complete Chrome trace-event JSON document ("JSON array format"). *)
+
+(** {1 Flight-recorder dumps} *)
+
+val max_dumps : int
+(** Dumps kept per tracer (16); later triggers are ignored. *)
+
+val trigger : t -> string -> bool
+(** [trigger t reason] notes the trigger and renders a dump of the retained
+    notes plus every event of the current request, kept as {!last_dump}.
+    Returns whether a dump was produced. *)
+
+val render : t -> reason:string -> req:int64 -> string
+(** The dump text without triggering (used by the CLI to export the ring
+    on demand). *)
+
+val dump_count : t -> int
+
+val last_dump : t -> (string * string) option
+(** Most recent (reason, content). *)

@@ -342,6 +342,29 @@ let test_persistence_across_remount () =
         (Bytes.equal expect (ok (Kernel.Os.read_file os2 "/p")));
       Ext4sim.Ext4.unmount vfs2 h2)
 
+(* mkfs over a used device must start a fresh journal: the previous file
+   system's committed transactions must not replay onto the new one. *)
+let test_remkfs_forgets_old_journal () =
+  in_sim (fun machine ->
+      ok (Ext4sim.Ext4.mkfs machine);
+      let vfs, h = ok (Ext4sim.Ext4.mount ~background:false machine) in
+      let os = Kernel.Os.create vfs in
+      for i = 0 to 9 do
+        ok (Kernel.Os.write_file os (Printf.sprintf "/old%d" i) (payload 4096))
+      done;
+      ok (Kernel.Os.sync os);
+      Ext4sim.Ext4.unmount vfs h;
+      ok (Ext4sim.Ext4.mkfs machine);
+      let vfs2, h2 = ok (Ext4sim.Ext4.mount ~background:false machine) in
+      let os2 = Kernel.Os.create vfs2 in
+      let names =
+        List.map (fun d -> d.Kernel.Vfs.d_name) (ok (Kernel.Os.readdir os2 "/"))
+      in
+      Alcotest.(check (list string))
+        "fresh root holds only . and .." [ "."; ".." ] (List.sort compare names);
+      Ext4sim.Ext4.unmount vfs2 h2;
+      fsck4_clean machine "ext4 re-mkfs")
+
 let suite =
   [
     tc "basic ops" `Quick test_basic;
@@ -359,4 +382,5 @@ let suite =
     tc "fsck.ext4 populated" `Quick test_fsck4_populated;
     tc "fsck.ext4 after crash" `Quick test_fsck4_after_crash_recovery;
     tc "persistence across remount" `Quick test_persistence_across_remount;
+    tc "re-mkfs forgets the old journal" `Quick test_remkfs_forgets_old_journal;
   ]

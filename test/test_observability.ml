@@ -1,7 +1,8 @@
 (** The observability battery: causal request DAGs reconstructed from
     spans + flow events (a qcheck property over random server fleets and a
     directed local-syscall check), flight-recorder triggered dumps (slow
-    op, error return) carrying the offending reqid, debug-mode unbalanced
+    op, error return) carrying the offending reqid with or without span
+    tracing, debug-mode unbalanced
     span detection, and the machine inspector registry. *)
 
 let tc = Alcotest.test_case
@@ -120,6 +121,7 @@ let test_causal_property =
    completions must still fold into the issuing request's DAG. *)
 let test_causal_local () =
   Helpers.with_xv6 (fun machine os _vfs _handle ->
+      Sim.Trace.set_capacity (Kernel.Machine.tracer machine) (1 lsl 16);
       Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true;
       ok (Kernel.Os.mkdir os "/d");
       for i = 0 to 9 do
@@ -150,55 +152,73 @@ let test_causal_server_multifiber () =
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder triggers                                             *)
 
+(* Trigger a slow-syscall dump; return its reason, text and the reqid it
+   names. *)
+let slow_dump machine os =
+  let tr = Kernel.Machine.tracer machine in
+  let dumps0 = Sim.Trace.dump_count tr in
+  Kernel.Os.set_slow_threshold os (Some 1_000L);
+  (* a 64KB write is far over 1 us of virtual time *)
+  ok (Kernel.Os.write_file os "/slow" (Bytes.make 65536 's'));
+  Kernel.Os.set_slow_threshold os None;
+  Alcotest.(check bool)
+    "slow syscall produced a dump" true
+    (Sim.Trace.dump_count tr > dumps0);
+  match Sim.Trace.last_dump tr with
+  | None -> Alcotest.fail "no dump content"
+  | Some (reason, content) -> (
+      let reqid =
+        List.find_map
+          (fun line ->
+            if String.length line > 7 && String.sub line 0 7 = "reqid: " then
+              Int64.of_string_opt
+                (String.trim (String.sub line 7 (String.length line - 7)))
+            else None)
+          (String.split_on_char '\n' content)
+      in
+      match reqid with
+      | None -> Alcotest.fail "dump has no reqid line"
+      | Some r ->
+          Alcotest.(check bool) "offending reqid is nonzero" true (r <> 0L);
+          (reason, content, r))
+
 let test_slow_op_trigger () =
   Helpers.with_xv6 (fun machine os _vfs _handle ->
       Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true;
-      let fl = Kernel.Machine.flight machine in
-      let dumps0 = Sim.Flight.dump_count fl in
-      Kernel.Os.set_slow_threshold os (Some 1_000L);
-      (* a 64KB write is far over 1 us of virtual time *)
-      ok (Kernel.Os.write_file os "/slow" (Bytes.make 65536 's'));
-      Kernel.Os.set_slow_threshold os None;
+      let reason, content, r = slow_dump machine os in
       Alcotest.(check bool)
-        "slow syscall produced a dump" true
-        (Sim.Flight.dump_count fl > dumps0);
-      match Sim.Flight.last_dump fl with
-      | None -> Alcotest.fail "no dump content"
-      | Some (reason, content) ->
-          Alcotest.(check bool)
-            "reason names the slow syscall" true
-            (contains ~sub:"slow syscall" reason);
-          (* the dump must carry the offending request's id and trace *)
-          let reqid =
-            List.find_map
-              (fun line ->
-                if String.length line > 7 && String.sub line 0 7 = "reqid: "
-                then
-                  Int64.of_string_opt
-                    (String.trim (String.sub line 7 (String.length line - 7)))
-                else None)
-              (String.split_on_char '\n' content)
-          in
-          (match reqid with
-          | None -> Alcotest.fail "dump has no reqid line"
-          | Some r ->
-              Alcotest.(check bool) "offending reqid is nonzero" true (r <> 0L);
-              Alcotest.(check bool)
-                "dump renders the request's causal trace" true
-                (contains
-                   ~sub:(Printf.sprintf "causal trace for req %Ld" r)
-                   content)))
+        "reason names the slow syscall" true
+        (contains ~sub:"slow syscall" reason);
+      Alcotest.(check bool)
+        "dump renders the request's causal trace" true
+        (contains ~sub:(Printf.sprintf "causal trace for req %Ld" r) content))
+
+(* Notes are always on, so even with span tracing off the causal section
+   of a dump lists the offending request's syscall note. *)
+let test_dump_without_tracing () =
+  Helpers.with_xv6 (fun machine os _vfs _handle ->
+      let _, content, r = slow_dump machine os in
+      let header = Printf.sprintf "-- causal trace for req %Ld (" r in
+      let rec after = function
+        | line :: rest when contains ~sub:header line -> rest
+        | _ :: rest -> after rest
+        | [] -> Alcotest.fail "dump has no causal section"
+      in
+      let causal = after (String.split_on_char '\n' content) in
+      Alcotest.(check bool)
+        "causal section lists the request's syscall note" true
+        (List.exists (contains ~sub:"info syscall:") causal))
 
 let test_error_trigger () =
   Helpers.with_xv6 (fun machine os _vfs _handle ->
-      let fl = Kernel.Machine.flight machine in
-      let dumps0 = Sim.Flight.dump_count fl in
+      let tr = Kernel.Machine.tracer machine in
+      let dumps0 = Sim.Trace.dump_count tr in
       (* errno returns are ring-noted but do not dump by default *)
       (match Kernel.Os.stat os "/missing" with
       | Ok _ -> Alcotest.fail "stat of missing path succeeded"
       | Error _ -> ());
       Alcotest.(check int)
-        "no dump without opt-in" dumps0 (Sim.Flight.dump_count fl);
+        "no dump without opt-in" dumps0 (Sim.Trace.dump_count tr);
       Kernel.Os.set_trigger_errors os true;
       (match Kernel.Os.stat os "/missing" with
       | Ok _ -> Alcotest.fail "stat of missing path succeeded"
@@ -206,28 +226,31 @@ let test_error_trigger () =
       Kernel.Os.set_trigger_errors os false;
       Alcotest.(check bool)
         "error return dumped once opted in" true
-        (Sim.Flight.dump_count fl > dumps0))
+        (Sim.Trace.dump_count tr > dumps0))
 
 let test_ring_wraps () =
   Helpers.in_sim (fun machine ->
-      let fl = Kernel.Machine.flight machine in
-      Sim.Flight.clear fl;
+      let tr = Kernel.Machine.tracer machine in
+      Sim.Trace.clear tr;
       for i = 0 to 9999 do
-        Sim.Flight.note fl ~kind:"spam" (string_of_int i)
+        if i mod 100 = 0 then Sim.Engine.sleep 1L;
+        Sim.Trace.note tr ~kind:"spam" (string_of_int i)
       done;
-      let entries = Sim.Flight.entries fl in
+      let notes = Sim.Trace.notes tr in
       Alcotest.(check bool)
         "ring is bounded" true
-        (List.length entries < 10_000);
-      Alcotest.(check int) "all records counted" 10_000 (Sim.Flight.recorded fl);
-      (* oldest-first merge across per-CPU rings *)
+        (List.length notes < 10_000);
+      Alcotest.(check int)
+        "retained + dropped counts every note" 10_000
+        (Sim.Trace.length tr + Sim.Trace.dropped tr);
+      Alcotest.(check int) "only notes recorded" (Sim.Trace.length tr)
+        (List.length notes);
       let rec sorted = function
         | a :: (b :: _ as rest) ->
-            Int64.compare a.Sim.Flight.e_ts b.Sim.Flight.e_ts <= 0
-            && sorted rest
+            Int64.compare a.Sim.Trace.ts b.Sim.Trace.ts <= 0 && sorted rest
         | _ -> true
       in
-      Alcotest.(check bool) "entries time-ordered" true (sorted entries))
+      Alcotest.(check bool) "entries time-ordered" true (sorted notes))
 
 (* ------------------------------------------------------------------ *)
 (* Debug-mode span balance checking                                     *)
@@ -318,6 +341,8 @@ let suite =
     tc "causal: server requests cross fibers" `Quick
       test_causal_server_multifiber;
     tc "flight: slow op dumps offending req" `Quick test_slow_op_trigger;
+    tc "flight: dump shows the request with tracing off" `Quick
+      test_dump_without_tracing;
     tc "flight: error return dump is opt-in" `Quick test_error_trigger;
     tc "flight: ring bounded and ordered" `Quick test_ring_wraps;
     tc "trace debug: open span at exit" `Quick test_unbalanced_span_at_exit;

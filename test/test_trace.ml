@@ -198,6 +198,7 @@ let test_ring_bounded () =
 (* Run a real stack under the tracer and validate the Chrome export. *)
 let test_chrome_json_wellformed () =
   let machine = Kernel.Machine.create ~disk_blocks:4096 ~block_size:4096 () in
+  Sim.Trace.set_capacity (Kernel.Machine.tracer machine) (1 lsl 16);
   Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true;
   Kernel.Machine.spawn ~name:"test" machine (fun () ->
       ok (Bento.Bentofs.mkfs machine xv6_maker);
@@ -225,6 +226,7 @@ let test_chrome_json_wellformed () =
   let seen_meta = ref false in
   let last_ts = ref neg_infinity in
   let cats = Hashtbl.create 8 in
+  let syscall_notes = ref 0 in
   List.iter
     (fun ev ->
       match str (field "ph" ev) with
@@ -246,6 +248,11 @@ let test_chrome_json_wellformed () =
           last_ts := ts;
           if ph = "i" then
             Alcotest.(check string) "instant scope" "t" (str (field "s" ev));
+          (* notes are instants tagged with their severity *)
+          if ph = "i" && str (field "cat" ev) = "syscall" then begin
+            ignore (str (field "sev" (field "args" ev)));
+            incr syscall_notes
+          end;
           (* flow events must carry the stitching edge id; finishes bind
              to the enclosing slice's end *)
           if ph = "s" || ph = "f" then
@@ -257,6 +264,7 @@ let test_chrome_json_wellformed () =
               (str (field "bp" ev)))
     arr;
   Alcotest.(check bool) "metadata present" true !seen_meta;
+  Alcotest.(check bool) "syscall notes exported" true (!syscall_notes > 0);
   (* the stack actually crossed its layers *)
   List.iter
     (fun cat ->
@@ -285,10 +293,13 @@ let test_chrome_ts_precision () =
   | _ -> Alcotest.fail "bad document"
 
 (* The no-overhead guarantee: the same workload, traced and untraced,
-   reaches the identical virtual end time and the identical result. *)
+   reaches the identical virtual end time and the identical result, and
+   records the identical always-on notes. *)
 let run_workload ~traced () =
   let machine = Kernel.Machine.create ~disk_blocks:8192 ~block_size:4096 () in
-  if traced then Sim.Trace.set_enabled (Kernel.Machine.tracer machine) true;
+  let tr = Kernel.Machine.tracer machine in
+  Sim.Trace.set_capacity tr (1 lsl 16);
+  if traced then Sim.Trace.set_enabled tr true;
   let ops = ref 0 in
   Kernel.Machine.spawn ~name:"test" machine (fun () ->
       ok (Bento.Bentofs.mkfs machine xv6_maker);
@@ -307,15 +318,25 @@ let run_workload ~traced () =
       ok (Kernel.Os.sync os);
       Bento.Bentofs.unmount vfs handle);
   Kernel.Machine.run machine;
-  (Kernel.Machine.now machine, !ops, Sim.Trace.length (Kernel.Machine.tracer machine))
+  Alcotest.(check int) "ring held the whole run" 0 (Sim.Trace.dropped tr);
+  let notes = Sim.Trace.notes tr in
+  let key (e : Sim.Trace.event) = (e.ts, e.tid, e.req, e.cat, e.name) in
+  ( Kernel.Machine.now machine,
+    !ops,
+    List.map key notes,
+    Sim.Trace.length tr - List.length notes )
 
 let test_tracing_does_not_perturb () =
-  let t_off, ops_off, len_off = run_workload ~traced:false () in
-  let t_on, ops_on, len_on = run_workload ~traced:true () in
+  let t_off, ops_off, notes_off, others_off = run_workload ~traced:false () in
+  let t_on, ops_on, notes_on, others_on = run_workload ~traced:true () in
   Alcotest.(check int64) "virtual end time identical" t_off t_on;
   Alcotest.(check int) "same work done" ops_off ops_on;
-  Alcotest.(check int) "untraced run captured nothing" 0 len_off;
-  Alcotest.(check bool) "traced run captured spans" true (len_on > 0)
+  Alcotest.(check bool) "notes recorded untraced" true (notes_off <> []);
+  Alcotest.(check bool) "identical notes traced and untraced" true
+    (notes_off = notes_on);
+  Alcotest.(check int) "untraced run has no span/flow/counter events" 0
+    others_off;
+  Alcotest.(check bool) "traced run captured spans" true (others_on > 0)
 
 let suite =
   [
