@@ -22,11 +22,11 @@ let user_services ?nblocks_cap (machine : Kernel.Machine.t)
     module Buffer = struct
       type t = { ub : Fusesim.Ubcache.buf; mutable released : bool }
 
-      let block b = b.ub.Fusesim.Ubcache.block
+      let block b = Fusesim.Ubcache.block b.ub
 
       let data b =
         if b.released then raise (Use_after_release "user buffer");
-        b.ub.Fusesim.Ubcache.data
+        Fusesim.Ubcache.data b.ub
 
       let mark_dirty b = if b.released then raise (Use_after_release "user buffer")
     end
@@ -317,7 +317,7 @@ let mount ?dirty_limit ?page_cap ?background ?nominal_gb ?cas_blocks
         ~label:"ubcache"
         (fun blk ->
           let b = Fusesim.Ubcache.bread ubc blk in
-          let d = Bytes.copy b.Fusesim.Ubcache.data in
+          let d = Bytes.copy (Fusesim.Ubcache.data b) in
           Fusesim.Ubcache.brelse ubc b;
           d);
       let transport = Fusesim.Transport.create machine in

@@ -231,26 +231,10 @@ let get_commit b =
   if Util.Bytesio.get_u32 b 0 <> j_commit then None
   else Some (Int64.to_int (Util.Bytesio.get_u64 b 8))
 
-(** Same sampled FNV checksum as the xv6 log. *)
-(* FNV-1a over every word: a sparse sample can collide with a stale log
-   slot left by a previous transaction (see Xv6fs.Layout.checksum_blocks). *)
-let checksum_blocks (blocks : Bytes.t list) =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v =
-    h := Int64.logxor !h v;
-    h := Int64.mul !h 0x100000001b3L
-  in
-  List.iter
-    (fun b ->
-      let len = Bytes.length b in
-      mix (Int64.of_int len);
-      let off = ref 0 in
-      while !off + 8 <= len do
-        mix (Bytes.get_int64_le b !off);
-        off := !off + 8
-      done)
-    blocks;
-  !h
+(** Same FNV-1a checksum as the xv6 log, over every word: a sparse sample
+    can collide with a stale log slot left by a previous transaction (see
+    Xv6fs.Layout.checksum_blocks). *)
+let checksum_blocks = Util.Fnv.blocks
 
 (** Compute a layout: carve a journal then as many full groups as fit. *)
 let compute ~size ~group_size ~inodes_per_group ~journal_len =

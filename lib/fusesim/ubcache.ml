@@ -9,39 +9,72 @@ type buf = {
   mutable valid : bool;
   mutable refcount : int;
   mutable pinned : int;
-  mutable lru_tick : int;
+  mutable prev : buf;
+  mutable next : buf;
 }
 
+(* Every cached buffer sits on one circular list through a sentinel, in
+   order of last release: new buffers go to the head, [brelse] moves a
+   buffer to the tail. A buffer becomes evictable only by a release, so
+   the first unreferenced, unpinned buffer from the head is the one
+   released longest ago. A buffer pinned at its release and unpinned later
+   keeps its place, ahead of buffers released after it. *)
 type t = {
   ufile : Ufile.t;
   capacity : int;
   table : (int, buf) Hashtbl.t;
-  mutable tick : int;
+  lru : buf;  (** sentinel: [lru.next] is the head, [lru.prev] the tail *)
   stats : Sim.Stats.t;
 }
 
 exception No_buffers
 
 let create ?(capacity = 8192) ufile =
-  { ufile; capacity; table = Hashtbl.create (2 * capacity); tick = 0; stats = Sim.Stats.create () }
+  let rec lru =
+    {
+      block = -1;
+      data = Bytes.empty;
+      valid = false;
+      refcount = 0;
+      pinned = 0;
+      prev = lru;
+      next = lru;
+    }
+  in
+  {
+    ufile;
+    capacity;
+    table = Hashtbl.create (2 * capacity);
+    lru;
+    stats = Sim.Stats.create ();
+  }
 
 let stats t = t.stats
 let incr t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.stats name)
 
+let block b = b.block
+let data b = b.data
+
+let unlink b =
+  b.prev.next <- b.next;
+  b.next.prev <- b.prev
+
+let insert_after anchor b =
+  b.prev <- anchor;
+  b.next <- anchor.next;
+  anchor.next.prev <- b;
+  anchor.next <- b
+
 let evict_one t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun _ b ->
-      if b.refcount = 0 && b.pinned = 0 then
-        match !victim with
-        | Some v when v.lru_tick <= b.lru_tick -> ()
-        | _ -> victim := Some b)
-    t.table;
-  match !victim with
-  | None -> raise No_buffers
-  | Some b ->
-      Hashtbl.remove t.table b.block;
-      incr t "evictions"
+  let rec first b =
+    if b == t.lru then raise No_buffers
+    else if b.refcount = 0 && b.pinned = 0 then b
+    else first b.next
+  in
+  let b = first t.lru.next in
+  unlink b;
+  Hashtbl.remove t.table b.block;
+  incr t "evictions"
 
 let getbuf t block =
   match Hashtbl.find_opt t.table block with
@@ -59,9 +92,11 @@ let getbuf t block =
           valid = false;
           refcount = 1;
           pinned = 0;
-          lru_tick = 0;
+          prev = t.lru;
+          next = t.lru;
         }
       in
+      insert_after t.lru b;
       Hashtbl.add t.table block b;
       b
 
@@ -99,8 +134,8 @@ let raw_read t block =
 let brelse t b =
   if b.refcount <= 0 then invalid_arg "Ubcache.brelse";
   b.refcount <- b.refcount - 1;
-  t.tick <- t.tick + 1;
-  b.lru_tick <- t.tick
+  unlink b;
+  insert_after t.lru.prev b
 
 let pin b = b.pinned <- b.pinned + 1
 

@@ -2,16 +2,17 @@
     replacement for the kernel buffer cache (O_DIRECT bypasses kernel
     caches, so the daemon must cache blocks itself). *)
 
-type buf = {
-  block : int;
-  data : Bytes.t;
-  mutable valid : bool;
-  mutable refcount : int;
-  mutable pinned : int;
-  mutable lru_tick : int;
-}
+type buf
+(** A cached block. Each [bread]/[getblk] takes a reference that
+    {!brelse} gives back. When the cache is full, a miss evicts the
+    buffer released longest ago among those with no references and no
+    pins (in O(1) unless buffers ahead of it are still held), or raises
+    {!No_buffers} when there is none. *)
 
 type t
+
+val block : buf -> int
+val data : buf -> Bytes.t
 
 exception No_buffers
 
@@ -37,6 +38,10 @@ val raw_read : t -> int -> Bytes.t
 
 val brelse : t -> buf -> unit
 val pin : buf -> unit
+(** Keep a buffer cached even with no references (the log pins blocks of
+    an uncommitted transaction). Unpinning does not refresh its place in
+    the eviction order. *)
+
 val unpin : buf -> unit
 
 val flush : t -> unit

@@ -80,16 +80,6 @@ type t = {
 
 let magic = "BENTOCAS"
 
-let fnv1a (b : Bytes.t) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length b - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
-        0x100000001b3L
-  done;
-  !h
-
 (* superblock codec: magic, then int64 LE fields, fnv checksum over the
    preceding 48 bytes *)
 
@@ -101,7 +91,7 @@ let encode_sb t ~cat_blocks ~cat_bytes =
   Bytes.set_int64_le b 24 (Int64.of_int t.active_half);
   Bytes.set_int64_le b 32 (Int64.of_int cat_blocks);
   Bytes.set_int64_le b 40 (Int64.of_int cat_bytes);
-  Bytes.set_int64_le b 48 (fnv1a (Bytes.sub b 0 48));
+  Bytes.set_int64_le b 48 (Util.Fnv.bytes (Bytes.sub b 0 48));
   b
 
 type sb = {
@@ -115,7 +105,10 @@ type sb = {
 let decode_sb bs (b : Bytes.t) : sb option =
   if Bytes.length b < bs then None
   else if not (String.equal (Bytes.sub_string b 0 8) magic) then None
-  else if not (Int64.equal (Bytes.get_int64_le b 48) (fnv1a (Bytes.sub b 0 48)))
+  else if
+    not
+      (Int64.equal (Bytes.get_int64_le b 48)
+         (Util.Fnv.bytes (Bytes.sub b 0 48)))
   then None
   else
     Some
@@ -243,7 +236,7 @@ let attach machine backend ~base ~blocks =
 (* Sealing                                                            *)
 
 let store_page t new_blocks (page : Bytes.t) : int64 =
-  let h = fnv1a page in
+  let h = Util.Fnv.bytes page in
   (match Hashtbl.find_opt t.index h with
   | Some _ -> Sim.Stats.Counter.incr t.c_dedup_saved
   | None ->
@@ -413,7 +406,7 @@ let verify_manifest t mid =
               | None -> false
               | Some blk ->
                   blk >= t.data_base && blk < t.watermark
-                  && Int64.equal (fnv1a (t.backend.b_read blk)) h)
+                  && Int64.equal (Util.Fnv.bytes (t.backend.b_read blk)) h)
             f.mf_hashes)
         m.m_files
 

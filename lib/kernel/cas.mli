@@ -40,9 +40,6 @@ val attach : Machine.t -> backend -> base:int -> blocks:int -> t
     superblock generation; a fresh region is formatted (an empty
     generation is committed). [blocks] must be at least 16. *)
 
-val fnv1a : Bytes.t -> int64
-(** The content hash (FNV-1a, 64-bit). *)
-
 val seal_files : t -> name:string -> dirs:string list -> files:(string * Bytes.t) list -> int
 (** Seal a tree given directly as data: deduplicate every page against
     the store, write the new blocks and commit. Paths are relative to the

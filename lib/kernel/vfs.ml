@@ -115,17 +115,16 @@ let profiled_ops machine layer (ops : fs_ops) : fs_ops =
 module Pcpu = struct
   let cells = 16
 
-  type t = int array
+  type t = { eng : Sim.Engine.t; cells : int array }
 
-  let create () = Array.make cells 0
+  let create eng = { eng; cells = Array.make cells 0 }
 
-  let add (c : t) n =
-    let eng = Sim.Engine.self_engine () in
-    let fid = Sim.Engine.current_fid eng in
+  let add c n =
+    let fid = Sim.Engine.current_fid c.eng in
     let i = if fid < 0 then 0 else fid land (cells - 1) in
-    c.(i) <- c.(i) + n
+    c.cells.(i) <- c.cells.(i) + n
 
-  let read (c : t) = Array.fold_left ( + ) 0 c
+  let read c = Array.fold_left ( + ) 0 c.cells
 end
 
 (* ------------------------------------------------------------------ *)
@@ -571,8 +570,8 @@ let mount ?(dirty_limit = 48 * 256) ?(page_cap = 131072) ?(background = true)
       page_size = Device.Ssd.block_size (Machine.disk machine);
       vnodes = Hashtbl.create 1024;
       dcache = Hashtbl.create 4096;
-      total_dirty = Pcpu.create ();
-      total_pages = Pcpu.create ();
+      total_dirty = Pcpu.create (Machine.engine machine);
+      total_pages = Pcpu.create (Machine.engine machine);
       page_cap;
       dirty_limit;
       dirty_bg = dirty_limit / 2;

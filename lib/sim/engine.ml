@@ -1,7 +1,7 @@
 (** Deterministic discrete-event engine with cooperative simulated threads.
 
     Threads ("fibers") are ordinary OCaml functions run under an effect
-    handler. They block by performing the [Sleep] / [Suspend] effects; the
+    handler. They block by performing the [Sleep] / [Block] effects; the
     engine resumes them from its virtual-time event queue. Because the event
     queue is totally ordered by (time, insertion sequence), a simulation with
     a fixed seed is fully deterministic and replayable — the property all of
@@ -17,6 +17,8 @@ type fiber = {
   mutable req : int64;
       (** request context: the causal request id the fiber is working on
           behalf of, inherited by fibers it spawns; 0 = none *)
+  mutable blocked_on : string;
+      (** what the fiber last blocked on, for deadlock reports *)
 }
 
 type t = {
@@ -42,12 +44,13 @@ type t = {
       (** called with the fid of a fiber whose body returned normally,
           while the fiber is still current — used by [Trace] to detect
           spans begun but never ended *)
+  blocked : (int, fiber) Hashtbl.t;
+      (** fibers currently inside [block], by fid: the deadlock report *)
 }
 
 type _ Effect.t +=
   | Sleep : int64 -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-  | Get_engine : t Effect.t
+  | Block : string option * string * ((unit -> unit) -> unit) -> int64 Effect.t
 
 let create () =
   {
@@ -63,6 +66,7 @@ let create () =
     on_lock_wait = None;
     next_req = 0L;
     on_fiber_exit = None;
+    blocked = Hashtbl.create 64;
   }
 
 let now t = t.now
@@ -139,9 +143,12 @@ let start_fiber t fiber f =
                          t.running <- Some fiber;
                          continue k ();
                          t.running <- saved'))
-             | Suspend register ->
+             | Block (lock, reason, register) ->
                  Some
                    (fun (k : (a, _) continuation) ->
+                     fiber.blocked_on <- reason;
+                     Hashtbl.replace t.blocked fiber.fid fiber;
+                     let t0 = t.now in
                      let fired = ref false in
                      register (fun () ->
                          if !fired then
@@ -150,9 +157,15 @@ let start_fiber t fiber f =
                          schedule_owned t ~fid:fiber.fid t.now (fun () ->
                              let saved' = t.running in
                              t.running <- Some fiber;
-                             continue k ();
+                             Hashtbl.remove t.blocked fiber.fid;
+                             let waited = Int64.sub t.now t0 in
+                             (match (lock, t.on_lock_wait) with
+                             | Some name, Some hook
+                               when Int64.compare waited 0L > 0 ->
+                                 hook name waited
+                             | _ -> ());
+                             continue k waited;
                              t.running <- saved')))
-             | Get_engine -> Some (fun (k : (a, _) continuation) -> continue k t)
              | _ -> None);
        }
    with exn ->
@@ -162,16 +175,11 @@ let start_fiber t fiber f =
 
 let spawn ?(name = "fiber") t f =
   let req = match t.running with Some f -> f.req | None -> 0L in
-  let fiber = { fid = t.next_fid; name; dead = false; req } in
+  let fiber = { fid = t.next_fid; name; dead = false; req; blocked_on = "" } in
   t.next_fid <- t.next_fid + 1;
   t.live_fibers <- t.live_fibers + 1;
   schedule_owned t ~fid:fiber.fid t.now (fun () -> start_fiber t fiber f);
   fiber
-
-(* Debug support: record what each blocked fiber is waiting on so that a
-   Deadlock error can say something useful. The registry is global and
-   fiber-keyed; fibers update it around their suspensions. *)
-let blocked_reasons : (int, string) Hashtbl.t = Hashtbl.create 64
 
 let check_failure t =
   match t.failure with
@@ -198,7 +206,10 @@ let run t =
   loop ();
   if t.live_fibers > 0 then begin
     let details =
-      Hashtbl.fold (fun _ v acc -> v :: acc) blocked_reasons []
+      Hashtbl.fold
+        (fun _ f acc ->
+          Printf.sprintf "%s#%d waiting on %s" f.name f.fid f.blocked_on :: acc)
+        t.blocked []
       |> List.sort compare |> String.concat "; "
     in
     raise
@@ -233,42 +244,13 @@ let run_until t deadline =
 (* ------------------------------------------------------------------ *)
 (* Operations usable from inside a fiber.                              *)
 
-let self_engine () = Effect.perform Get_engine
-
 let sleep d =
   if Int64.compare d 0L < 0 then invalid_arg "Engine.sleep: negative";
   if Int64.compare d 0L > 0 then Effect.perform (Sleep d)
 
 let yield () = Effect.perform (Sleep 0L)
 
-(** [suspend register] blocks the current fiber. [register] receives a waker
-    which, when invoked (exactly once), reschedules the fiber at the waking
-    moment. *)
-let suspend register = Effect.perform (Suspend register)
-
-let note_blocked reason =
-  let t = Effect.perform Get_engine in
-  match t.running with
-  | Some f ->
-      Hashtbl.replace blocked_reasons f.fid
-        (Printf.sprintf "%s#%d waiting on %s" f.name f.fid reason)
-  | None -> ()
-
-let clear_blocked () =
-  let t = Effect.perform Get_engine in
-  match t.running with
-  | Some f -> Hashtbl.remove blocked_reasons f.fid
-  | None -> ()
-
-let now_here () = (self_engine ()).now
-
-(** Report a measured lock wait to the engine's hook (a no-op when none is
-    installed). Called by the [Sync] primitives from the waiting fiber,
-    right after it resumes, so the hook can see the fiber's context. *)
-let note_lock_wait name wait_ns =
-  let t = self_engine () in
-  match t.on_lock_wait with
-  | Some hook when Int64.compare wait_ns 0L > 0 -> hook name wait_ns
-  | _ -> ()
-
-
+(** [block ?lock reason register] blocks the current fiber until the waker
+    handed to [register] is invoked, and returns the virtual nanoseconds
+    spent blocked. *)
+let block ?lock reason register = Effect.perform (Block (lock, reason, register))

@@ -2,7 +2,7 @@
     ("fibers").
 
     Fibers are plain OCaml functions executed under an effect handler; they
-    block by performing effects ([sleep], [suspend]) and the engine resumes
+    block by performing effects ([sleep], [block]) and the engine resumes
     them from a virtual-time event queue. Event order is total — (time,
     insertion sequence) — so simulations are deterministic and replayable. *)
 
@@ -99,26 +99,16 @@ val sleep : int64 -> unit
 val yield : unit -> unit
 (** Reschedule the calling fiber behind events at the current instant. *)
 
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] blocks the calling fiber; [register] receives a
-    waker that, when invoked (exactly once), resumes the fiber at the
-    waking moment. The building block of all synchronisation primitives. *)
-
-val self_engine : unit -> t
-(** The engine running the calling fiber. *)
-
-val now_here : unit -> int64
-(** [now] of the calling fiber's engine. *)
-
-(** {1 Blocked-fiber diagnostics} *)
-
-val note_blocked : string -> unit
-(** Record what the calling fiber is about to wait on (shown by
-    {!Deadlock}). Called by the [Sync] primitives around suspension. *)
-
-val clear_blocked : unit -> unit
-
-val note_lock_wait : string -> int64 -> unit
-(** Report a measured lock wait to the calling fiber's engine hook (no-op
-    when no hook is installed or the wait was zero). Called by the [Sync]
-    primitives. *)
+val block : ?lock:string -> string -> ((unit -> unit) -> unit) -> int64
+(** [block ?lock reason register] blocks the calling fiber and returns the
+    virtual nanoseconds it spent blocked. [register] receives a waker that,
+    when invoked (exactly once), resumes the fiber at the waking moment.
+    The building block of all synchronisation primitives, and one effect
+    per wait:
+    - while blocked, the fiber is listed in this engine's {!Deadlock}
+      report as [name#fid waiting on reason] (pass a constant or a string
+      built once, at lock creation: [block] never formats);
+    - on resume, with the fiber current again and before it continues,
+      a wait longer than zero on a [lock] is reported to the
+      {!set_lock_wait_hook} hook as [hook lock waited]. The hook runs
+      outside the fiber's effect handler, so it must not block. *)

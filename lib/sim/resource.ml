@@ -4,6 +4,7 @@
 
 type t = {
   name : string;
+  reason : string; (* "resource <name>", for deadlock reports *)
   capacity : int;
   mutable in_use : int;
   waiters : (unit -> unit) Queue.t;
@@ -15,6 +16,7 @@ let create ?(name = "resource") capacity =
   if capacity < 1 then invalid_arg "Resource.create";
   {
     name;
+    reason = "resource " ^ name;
     capacity;
     in_use = 0;
     waiters = Queue.create ();
@@ -25,11 +27,7 @@ let create ?(name = "resource") capacity =
 let acquire t =
   if t.in_use < t.capacity && Queue.is_empty t.waiters then
     t.in_use <- t.in_use + 1
-  else begin
-    Engine.note_blocked ("resource " ^ t.name);
-    Engine.suspend (fun w -> Queue.push w t.waiters);
-    Engine.clear_blocked ()
-  end;
+  else ignore (Engine.block t.reason (fun w -> Queue.push w t.waiters));
   t.admissions <- t.admissions + 1
 
 let release t =

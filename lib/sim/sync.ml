@@ -8,6 +8,7 @@
 module Mutex = struct
   type t = {
     name : string;
+    reason : string; (* "mutex <name>", for deadlock reports *)
     mutable locked : bool;
     waiters : (unit -> unit) Queue.t;
     mutable contended : int; (* stat: how many lock() calls had to wait *)
@@ -19,6 +20,7 @@ module Mutex = struct
   let create ?(name = "mutex") () =
     {
       name;
+      reason = "mutex " ^ name;
       locked = false;
       waiters = Queue.create ();
       contended = 0;
@@ -32,15 +34,13 @@ module Mutex = struct
     if not m.locked then m.locked <- true
     else begin
       m.contended <- m.contended + 1;
-      Engine.note_blocked ("mutex " ^ m.name);
-      let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push waker m.waiters);
-      Engine.clear_blocked ();
       (* Ownership is handed to us directly by [unlock]; [locked] stays true. *)
-      let dt = Int64.sub (Engine.now_here ()) t0 in
+      let dt =
+        Engine.block ~lock:m.name m.reason (fun waker ->
+            Queue.push waker m.waiters)
+      in
       m.wait_ns <- Int64.add m.wait_ns dt;
-      if Int64.compare dt m.max_wait_ns > 0 then m.max_wait_ns <- dt;
-      Engine.note_lock_wait m.name dt
+      if Int64.compare dt m.max_wait_ns > 0 then m.max_wait_ns <- dt
     end
 
   let try_lock m =
@@ -81,11 +81,10 @@ module Condvar = struct
 
   (** Atomically release [m], wait for a signal, then re-acquire [m]. *)
   let wait t m =
-    Engine.note_blocked "condvar";
-    Engine.suspend (fun waker ->
-        Queue.push waker t.waiters;
-        Mutex.unlock m);
-    Engine.clear_blocked ();
+    ignore
+      (Engine.block "condvar" (fun waker ->
+           Queue.push waker t.waiters;
+           Mutex.unlock m));
     Mutex.lock m
 
   let signal t =
@@ -113,11 +112,9 @@ module Semaphore = struct
 
   let acquire t =
     if t.count > 0 then t.count <- t.count - 1
-    else begin
-      Engine.note_blocked "semaphore";
-      Engine.suspend (fun waker -> Queue.push waker t.waiters);
-      Engine.clear_blocked ()
-    end
+    else
+      ignore
+        (Engine.block "semaphore" (fun waker -> Queue.push waker t.waiters))
 
   let try_acquire t =
     if t.count > 0 then begin
@@ -139,13 +136,22 @@ module Rwlock = struct
 
   type t = {
     name : string;
+    read_reason : string; (* "rwlock(r) <name>", for deadlock reports *)
+    write_reason : string;
     mutable readers : int;
     mutable writer : bool;
     waiters : waiter Queue.t;
   }
 
   let create ?(name = "rwlock") () =
-    { name; readers = 0; writer = false; waiters = Queue.create () }
+    {
+      name;
+      read_reason = "rwlock(r) " ^ name;
+      write_reason = "rwlock(w) " ^ name;
+      readers = 0;
+      writer = false;
+      waiters = Queue.create ();
+    }
 
   (* Wake as many queued waiters as can now run: either one writer, or a
      maximal prefix of readers. FIFO prevents writer starvation. *)
@@ -165,13 +171,10 @@ module Rwlock = struct
   let read_lock t =
     if (not t.writer) && Queue.is_empty t.waiters then
       t.readers <- t.readers + 1
-    else begin
-      Engine.note_blocked ("rwlock(r) " ^ t.name);
-      let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push (Reader waker) t.waiters);
-      Engine.clear_blocked ();
-      Engine.note_lock_wait t.name (Int64.sub (Engine.now_here ()) t0)
-    end
+    else
+      ignore
+        (Engine.block ~lock:t.name t.read_reason (fun waker ->
+             Queue.push (Reader waker) t.waiters))
 
   let read_unlock t =
     if t.readers <= 0 then invalid_arg "Rwlock.read_unlock";
@@ -181,13 +184,10 @@ module Rwlock = struct
   let write_lock t =
     if t.readers = 0 && (not t.writer) && Queue.is_empty t.waiters then
       t.writer <- true
-    else begin
-      Engine.note_blocked ("rwlock(w) " ^ t.name);
-      let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push (Writer waker) t.waiters);
-      Engine.clear_blocked ();
-      Engine.note_lock_wait t.name (Int64.sub (Engine.now_here ()) t0)
-    end
+    else
+      ignore
+        (Engine.block ~lock:t.name t.write_reason (fun waker ->
+             Queue.push (Writer waker) t.waiters))
 
   let write_unlock t =
     if not t.writer then invalid_arg "Rwlock.write_unlock";
@@ -236,9 +236,7 @@ module Ivar = struct
     match t.state with
     | Full v -> v
     | Empty q -> (
-        Engine.note_blocked "ivar";
-        Engine.suspend (fun waker -> Queue.push waker q);
-        Engine.clear_blocked ();
+        ignore (Engine.block "ivar" (fun waker -> Queue.push waker q));
         match t.state with
         | Full v -> v
         | Empty _ -> assert false)
@@ -269,7 +267,7 @@ module Channel = struct
   let send t v =
     if t.closed then raise Closed;
     if Queue.length t.items >= t.capacity then
-      Engine.suspend (fun w -> Queue.push w t.senders);
+      ignore (Engine.block "channel send" (fun w -> Queue.push w t.senders));
     if t.closed then raise Closed;
     Queue.push v t.items;
     match Queue.take_opt t.receivers with Some w -> w () | None -> ()
@@ -277,7 +275,7 @@ module Channel = struct
   let recv t =
     if Queue.is_empty t.items then begin
       if t.closed then raise Closed;
-      Engine.suspend (fun w -> Queue.push w t.receivers)
+      ignore (Engine.block "channel recv" (fun w -> Queue.push w t.receivers))
     end;
     match Queue.take_opt t.items with
     | Some v ->

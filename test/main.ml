@@ -11,6 +11,7 @@ let () =
       ("device", Test_device.suite);
       ("bio", Test_bio.suite);
       ("bcache", Test_bcache.suite);
+      ("ubcache", Test_ubcache.suite);
       ("bentoks", Test_bentoks.suite);
       ("xv6fs", Test_xv6fs.suite);
       ("os", Test_os.suite);

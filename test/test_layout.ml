@@ -122,6 +122,36 @@ let prop_checksum_sensitive =
       let torn = Xv6fs.Layout.checksum_blocks (List.tl blocks) in
       not (Int64.equal full torn))
 
+(* The log checksum and the CAS hash are part of the on-disk formats:
+   recovery rejects a log (or a CAS superblock) whose stored checksum does
+   not match, so these values must never move. The log constants were
+   computed by the original closure-based FNV-1a. *)
+let test_checksum_format () =
+  let a = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let b = Bytes.init 4096 (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  List.iter
+    (fun (layout, checksum) ->
+      let check name expected blocks =
+        Alcotest.(check int64) (layout ^ " " ^ name) expected (checksum blocks)
+      in
+      check "empty" (-3750763034362895579L) [];
+      check "one block" 646596641154451423L [ a ];
+      check "two blocks" 5681257198133964269L [ a; b ])
+    [
+      ("xv6", Xv6fs.Layout.checksum_blocks);
+      ("ext4", Ext4sim.Layout4.checksum_blocks);
+    ];
+  (* the CAS content hash is textbook FNV-1a: the published test vectors *)
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check int64) ("cas hash " ^ s) expected
+        (Util.Fnv.bytes (Bytes.of_string s)))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
 let gen_extent =
   QCheck.Gen.(
     map
@@ -181,6 +211,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_superblock_roundtrip;
     QCheck_alcotest.to_alcotest prop_log_header_roundtrip;
     QCheck_alcotest.to_alcotest prop_checksum_sensitive;
+    tc "checksum formats pinned" `Quick test_checksum_format;
     QCheck_alcotest.to_alcotest prop_ext4_dinode_roundtrip;
     QCheck_alcotest.to_alcotest prop_ext4_descriptor_roundtrip;
     tc "layout geometry" `Quick test_layout_geometry;

@@ -67,6 +67,31 @@ let test_deadlock_detected () =
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sim.Engine.Deadlock _ -> ()
 
+(* A deadlock report lists the blocked fibers of its own engine only:
+   fids restart at 0 in every engine, and a fiber that dies blocked in one
+   run must not haunt the report of the next. *)
+let test_deadlock_report_per_engine () =
+  let deadlock ~extra tag =
+    let e = Sim.Engine.create () in
+    let m = Sim.Sync.Mutex.create ~name:tag () in
+    if extra then ignore (Sim.Engine.spawn ~name:"extra" e (fun () -> ()));
+    ignore
+      (Sim.Engine.spawn ~name:("holder-" ^ tag) e (fun () ->
+           Sim.Sync.Mutex.lock m));
+    ignore
+      (Sim.Engine.spawn ~name:("waiter-" ^ tag) e (fun () ->
+           Sim.Sync.Mutex.lock m));
+    match Sim.Engine.run e with
+    | () -> Alcotest.fail "expected Deadlock"
+    | exception Sim.Engine.Deadlock msg -> msg
+  in
+  Alcotest.(check string) "engine a"
+    "1 fiber(s) still blocked at t=0ns [waiter-a#1 waiting on mutex a]"
+    (deadlock ~extra:false "a");
+  Alcotest.(check string) "engine b names only its own waiter"
+    "1 fiber(s) still blocked at t=0ns [waiter-b#2 waiting on mutex b]"
+    (deadlock ~extra:true "b")
+
 let test_mutex_mutual_exclusion () =
   let e = Sim.Engine.create () in
   let m = Sim.Sync.Mutex.create () in
@@ -341,6 +366,7 @@ let suite =
     tc "determinism" `Quick test_determinism;
     tc "fiber failure propagates" `Quick test_fiber_failure_propagates;
     tc "deadlock detection" `Quick test_deadlock_detected;
+    tc "deadlock report per engine" `Quick test_deadlock_report_per_engine;
     tc "mutex exclusion" `Quick test_mutex_mutual_exclusion;
     tc "mutex fifo fairness" `Quick test_mutex_fifo_fairness;
     tc "rwlock semantics" `Quick test_rwlock_readers_parallel_writers_exclusive;
