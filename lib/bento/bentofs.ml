@@ -290,13 +290,15 @@ let mount ?dirty_limit ?page_cap ?background ?wb_batch ?cas_blocks
         cas;
       Ok (vfs, h)
 
-(** Unmount: flush the VFS, destroy the fs instance. *)
+(** Unmount: flush the VFS, destroy the fs instance, empty the buffer
+    cache. *)
 let unmount (vfs : Kernel.Vfs.t) (h : handle) =
   Kernel.Vfs.unmount vfs;
   (match h.cas with
   | Some _ -> Kernel.Cas.unregister h.machine
   | None -> ());
-  h.current.Fs_api.d_destroy ()
+  h.current.Fs_api.d_destroy ();
+  Kernel.Bcache.invalidate h.bcache
 
 let bcache h = h.bcache
 let services h = h.services

@@ -57,7 +57,8 @@ val mount :
     installs its page-sharing hooks on the VFS. *)
 
 val unmount : Kernel.Vfs.t -> handle -> unit
-(** Flush the VFS, then destroy the fs instance. *)
+(** Flush the VFS, destroy the fs instance, then empty the buffer cache
+    (only the device image outlives the mount). *)
 
 val bcache : handle -> Kernel.Bcache.t
 val services : handle -> (module Bentoks.KSERVICES)

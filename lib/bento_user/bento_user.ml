@@ -335,10 +335,11 @@ let mount ?dirty_limit ?page_cap ?background ?nominal_gb ?cas_blocks
       Ok (vfs, { driver; transport; ubcache = ubc; cas })
 
 (** Unmount: flush the VFS (through the wire), destroy the daemon-side fs,
-    close the connection. *)
+    close the connection, empty the daemon's buffer cache. *)
 let unmount (vfs : Kernel.Vfs.t) (h : mount_handle) =
   Kernel.Vfs.unmount vfs;
   (match h.cas with
   | Some _ -> Kernel.Cas.unregister (Kernel.Vfs.machine vfs)
   | None -> ());
-  Fusesim.Driver.shutdown h.driver
+  Fusesim.Driver.shutdown h.driver;
+  Fusesim.Ubcache.invalidate h.ubcache

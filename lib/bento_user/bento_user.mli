@@ -51,4 +51,5 @@ val mount :
     I/O from warm opens, but the FUSE wire crossing per open remains. *)
 
 val unmount : Kernel.Vfs.t -> mount_handle -> unit
-(** Flush through the wire, send DESTROY, close the connection. *)
+(** Flush through the wire, send DESTROY, close the connection, then
+    empty the daemon's buffer cache. *)

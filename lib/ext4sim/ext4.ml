@@ -1383,7 +1383,8 @@ let mount ?dirty_limit ?background ?commit_interval machine :
 
 let unmount vfs (h : handle) =
   Kernel.Vfs.unmount vfs;
-  Jbd2.shutdown h.fs.journal
+  Jbd2.shutdown h.fs.journal;
+  Kernel.Bcache.invalidate h.fs.bc
 
 let journal_stats (h : handle) =
   (h.fs.journal.Jbd2.commits, h.fs.journal.Jbd2.checkpoints)

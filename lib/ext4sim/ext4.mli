@@ -19,7 +19,8 @@ val mount :
     [commit_interval] defaults to the ext4-like 5 s. *)
 
 val unmount : Kernel.Vfs.t -> handle -> unit
-(** Commit, checkpoint everything, stop kjournald. *)
+(** Commit, checkpoint everything, stop kjournald, empty the buffer
+    cache. *)
 
 val journal_stats : handle -> int * int
 (** (commits, checkpoints) — used by tests asserting group-commit

@@ -148,3 +148,17 @@ let unpin b =
 let flush t = Ufile.fsync_disk t.ufile
 
 let cached_blocks t = Hashtbl.length t.table
+
+(* Drop every buffer at unmount. The cache writes through, so no buffer
+   is ever dirty; a held or pinned one is the caller's bug. *)
+let invalidate t =
+  Hashtbl.iter
+    (fun block b ->
+      if b.refcount > 0 || b.pinned > 0 then
+        invalid_arg
+          (Printf.sprintf "Ubcache.invalidate: block %d %s" block
+             (if b.refcount > 0 then "held" else "pinned")))
+    t.table;
+  Hashtbl.reset t.table;
+  t.lru.next <- t.lru;
+  t.lru.prev <- t.lru

@@ -49,3 +49,10 @@ val flush : t -> unit
     has, and FUSE's downfall in the evaluation. *)
 
 val cached_blocks : t -> int
+
+val invalidate : t -> unit
+(** Drop every cached buffer at unmount, so a cache that outlives its
+    mount holds no blocks; the next [bread] of any block is a miss.
+    Raises [Invalid_argument], leaving the cache as it was, if a buffer
+    is still held or pinned. Charges no virtual time and bumps no
+    counter. *)

@@ -509,6 +509,30 @@ let flush t =
 let cached_blocks t =
   Array.fold_left (fun n s -> n + Hashtbl.length s.table) 0 t.shards
 
+(* Unmount empties the cache, as Linux does in [kill_block_super] →
+   [invalidate_bdev]. Every shard is checked before any is emptied, so a
+   refused call leaves the cache whole. *)
+let invalidate t =
+  Array.iter
+    (fun s ->
+      Hashtbl.iter
+        (fun block b ->
+          if b.refcount > 0 then
+            invalid_arg
+              (Printf.sprintf "Bcache.invalidate: block %d %s" block
+                 (if Sim.Sync.Mutex.locked b.lock then "held" else "pinned"));
+          if b.dirty then
+            invalid_arg
+              (Printf.sprintf "Bcache.invalidate: block %d dirty" block))
+        s.table)
+    t.shards;
+  Array.iter
+    (fun s ->
+      Hashtbl.reset s.table;
+      s.lru_head <- None;
+      s.lru_tail <- None)
+    t.shards
+
 (* Invariant checks used by the test suite: per-shard table/refcount/LRU
    consistency plus the sharding invariant itself (every key hashes to
    the shard holding it). *)

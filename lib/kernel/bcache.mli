@@ -102,5 +102,12 @@ val flush : t -> unit
 
 val cached_blocks : t -> int
 
+val invalidate : t -> unit
+(** Drop every cached buffer (Linux [invalidate_bdev] at unmount), so a
+    cache that outlives its mount holds no blocks; the next [bread] of any
+    block is a miss. Raises [Invalid_argument], leaving the cache as it
+    was, if a buffer is still held, pinned or dirty. Charges no virtual
+    time and bumps no counter. *)
+
 val check_invariants : t -> unit
 (** Raises on violated internal invariants (tests). *)

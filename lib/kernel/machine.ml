@@ -17,8 +17,8 @@ type t = {
           covers the whole stack *)
   mutable inspectors : (string * (unit -> Util.Json.t)) list;
       (** live internal-state probes (bcache residency, lease table, WFQ
-          depths, ...), newest first, keyed by name — [inspect] snapshots
-          them all *)
+          depths, ...), at most one per name — [inspect] snapshots them
+          all *)
   mutable slots : binding list;
       (** per-machine state of kernel subsystems (pushdown registry, CAS
           store), one entry per {!key}: it lives and dies with the machine *)
@@ -68,33 +68,27 @@ let register_stats t ~prefix stats = t.registries <- (prefix, stats) :: t.regist
 (** Register a live internal-state probe under [name] — a function that,
     when {!inspect} runs, snapshots some subsystem's current state as
     JSON (bcache residency per shard, lease table, WFQ queue depths,
-    journal free blocks, ...). Re-registering a name shadows the older
-    probe (mount/remount). *)
+    journal free blocks, ...). Re-registering a name replaces the older
+    probe (mount/remount), so the machine keeps no unmounted subsystem
+    alive through it. *)
 let register_inspector t ~name probe =
-  t.inspectors <- (name, probe) :: t.inspectors
+  t.inspectors <- (name, probe) :: List.remove_assoc name t.inspectors
 
 (** Snapshot every registered inspector as one JSON object, name-sorted;
     a probe that raises reports the exception instead of aborting the
     dump (inspection must work on a wedged machine). *)
 let inspect t : Util.Json.t =
-  let seen = Hashtbl.create 16 in
-  let fields =
-    List.filter_map
-      (fun (name, probe) ->
-        if Hashtbl.mem seen name then None
-        else begin
-          Hashtbl.replace seen name ();
-          let v =
-            try probe ()
-            with exn ->
-              Util.Json.Obj [ ("error", Util.Json.String (Printexc.to_string exn)) ]
-          in
-          Some (name, v)
-        end)
-      t.inspectors
+  let run (name, probe) =
+    let v =
+      try probe ()
+      with exn ->
+        Util.Json.Obj [ ("error", Util.Json.String (Printexc.to_string exn)) ]
+    in
+    (name, v)
   in
   Util.Json.Obj
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
+    (List.map run t.inspectors
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 type 'a key = 'a Type.Id.t
 

@@ -42,8 +42,9 @@ val counter_snapshot : t -> (string * int64) list
 val register_inspector : t -> name:string -> (unit -> Util.Json.t) -> unit
 (** Register a live internal-state probe (bcache residency per shard,
     lease table, WFQ queue depths, journal free blocks, ...). Probes run
-    only when {!inspect} is called; re-registering a name shadows the
-    older probe. *)
+    only when {!inspect} is called. Re-registering a name replaces the
+    older probe, which the machine then no longer keeps alive (each mount
+    registers its own [bcache] probe). *)
 
 val inspect : t -> Util.Json.t
 (** Snapshot every registered inspector as one name-sorted JSON object.

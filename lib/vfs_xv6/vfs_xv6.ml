@@ -1345,6 +1345,12 @@ let count_free fs =
   done;
   fs.free_inodes <- !ifree
 
+(* The mounted instance and its buffer cache: [unmount] takes only the
+   VFS, and finds the cache to empty here. A later mount on the same
+   machine takes the slot over. *)
+let mounted : (Kernel.Vfs.t * Kernel.Bcache.t) Kernel.Machine.key =
+  Kernel.Machine.new_key ()
+
 (** Mount directly on the VFS layer; returns the VFS instance. *)
 let mount ?dirty_limit ?background machine : (Kernel.Vfs.t, Kernel.Errno.t) result =
   let bc = Kernel.Bcache.create machine in
@@ -1564,7 +1570,16 @@ let mount ?dirty_limit ?background machine : (Kernel.Vfs.t, Kernel.Errno.t) resu
         }
       in
       Kernel.Pushdown.set_bcache_backend machine bc;
-      Ok (Kernel.Vfs.mount ?dirty_limit ?background machine ops)
+      let vfs = Kernel.Vfs.mount ?dirty_limit ?background machine ops in
+      Kernel.Machine.set_slot machine mounted (Some (vfs, bc));
+      Ok vfs
 
-(** Unmount: flush everything. *)
-let unmount vfs = Kernel.Vfs.unmount vfs
+(** Unmount: flush everything, then empty the buffer cache. *)
+let unmount vfs =
+  Kernel.Vfs.unmount vfs;
+  let machine = Kernel.Vfs.machine vfs in
+  match Kernel.Machine.slot machine mounted with
+  | Some (v, bc) when v == vfs ->
+      Kernel.Bcache.invalidate bc;
+      Kernel.Machine.set_slot machine mounted None
+  | _ -> ()

@@ -17,3 +17,4 @@ val mount :
 (** Recover the log and register the VFS ops. *)
 
 val unmount : Kernel.Vfs.t -> unit
+(** Flush everything, then empty the mount's buffer cache. *)

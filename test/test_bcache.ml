@@ -1,5 +1,5 @@
 (** Unit tests of the kernel buffer cache: refcounting, LRU eviction,
-    pinning, and writeback-on-eviction. *)
+    pinning, writeback-on-eviction, and invalidation at unmount. *)
 
 open Helpers
 
@@ -351,6 +351,55 @@ let prop_shard_equivalence =
         single;
       true)
 
+let misses bc =
+  Sim.Stats.Counter.get_int (Sim.Stats.counter (Kernel.Bcache.stats bc) "misses")
+
+let test_invalidate_drops_every_buffer () =
+  (* 256 blocks: four shards, all of them populated *)
+  with_bc ~capacity:256 (fun _m bc ->
+      for blk = 0 to 15 do
+        Kernel.Bcache.brelse bc (Kernel.Bcache.bread bc blk)
+      done;
+      (* the device now differs from the cached copy of block 5 *)
+      Kernel.Bcache.raw_write bc 5 (Bytes.make 4096 'n');
+      Kernel.Bcache.invalidate bc;
+      Alcotest.(check int) "nothing cached" 0 (Kernel.Bcache.cached_blocks bc);
+      Kernel.Bcache.check_invariants bc;
+      let before = misses bc in
+      let b = Kernel.Bcache.bread bc 5 in
+      Alcotest.(check int) "next bread misses" (before + 1) (misses bc);
+      Alcotest.(check char) "device bytes" 'n' (Bytes.get b.Kernel.Bcache.data 0);
+      Kernel.Bcache.brelse bc b;
+      Kernel.Bcache.check_invariants bc)
+
+(* A buffer still in use at unmount is a bug: refuse, and keep the cache. *)
+let test_invalidate_refuses_busy_buffers () =
+  with_bc (fun _m bc ->
+      let refused what =
+        let cached = Kernel.Bcache.cached_blocks bc in
+        (match Kernel.Bcache.invalidate bc with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "invalidate accepted a %s buffer" what);
+        Alcotest.(check int) (what ^ ": cache kept") cached
+          (Kernel.Bcache.cached_blocks bc);
+        Kernel.Bcache.check_invariants bc
+      in
+      let held = Kernel.Bcache.bread bc 1 in
+      refused "held";
+      Kernel.Bcache.bpin bc held;
+      Kernel.Bcache.brelse bc held;
+      refused "pinned";
+      Kernel.Bcache.bunpin bc held;
+      let dirty = Kernel.Bcache.getblk bc 2 in
+      Kernel.Bcache.mark_dirty dirty;
+      Kernel.Bcache.brelse bc dirty;
+      refused "dirty";
+      let b = Kernel.Bcache.bread bc 2 in
+      Kernel.Bcache.bwrite bc b;
+      Kernel.Bcache.brelse bc b;
+      Kernel.Bcache.invalidate bc;
+      Alcotest.(check int) "emptied once idle" 0 (Kernel.Bcache.cached_blocks bc))
+
 let suite =
   [
     tc "roundtrip" `Quick test_read_write_roundtrip;
@@ -363,5 +412,9 @@ let suite =
     tc "sleeplock serialises" `Quick test_sleeplock_serialises_holders;
     tc "double brelse rejected" `Quick test_brelse_unlocked_rejected;
     tc "concurrent churn across shards" `Quick test_concurrent_churn;
+    tc "invalidate drops every buffer" `Quick
+      test_invalidate_drops_every_buffer;
+    tc "invalidate refuses held, pinned, dirty" `Quick
+      test_invalidate_refuses_busy_buffers;
     QCheck_alcotest.to_alcotest prop_shard_equivalence;
   ]

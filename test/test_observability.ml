@@ -3,7 +3,8 @@
     directed local-syscall check), flight-recorder triggered dumps (slow
     op, error return) carrying the offending reqid with or without span
     tracing, debug-mode unbalanced
-    span detection, and the machine inspector registry. *)
+    span detection, and the machine inspector registry (one probe per
+    name, a replaced probe released). *)
 
 let tc = Alcotest.test_case
 let ok = Kernel.Errno.ok_exn
@@ -334,6 +335,30 @@ let test_inspector_error_isolated () =
           | _ -> Alcotest.fail "raising probe not isolated as error object")
       | _ -> Alcotest.fail "inspect did not return an object")
 
+(* Each mount registers its own "bcache" probe: the newer one must take
+   the older one's place, not shadow it while keeping its cache alive. *)
+let test_reregister_releases_old_probe () =
+  let machine = Kernel.Machine.create ~disk_blocks:64 ~block_size:4096 () in
+  let register label =
+    let v = Bytes.of_string label in
+    Kernel.Machine.register_inspector machine ~name:"x" (fun () ->
+        Util.Json.String (Bytes.to_string v));
+    v
+  in
+  let probe = Weak.create 1 in
+  Weak.set probe 0 (Some (register "first"));
+  ignore (register "second");
+  Gc.full_major ();
+  Alcotest.(check bool) "first probe collected" false (Weak.check probe 0);
+  match Kernel.Machine.inspect machine with
+  | Util.Json.Obj fields ->
+      Alcotest.(check (list string))
+        "one entry per name" [ "x" ] (List.map fst fields);
+      Alcotest.(check bool)
+        "second probe answers" true
+        (List.assoc "x" fields = Util.Json.String "second")
+  | _ -> Alcotest.fail "inspect did not return an object"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_causal_property;
@@ -350,4 +375,6 @@ let suite =
     tc "trace debug: balanced spans pass" `Quick test_balanced_spans_pass;
     tc "inspect: registry covers subsystems" `Quick test_inspectors;
     tc "inspect: raising probe isolated" `Quick test_inspector_error_isolated;
+    tc "inspect: re-registering a name releases the old probe" `Quick
+      test_reregister_releases_old_probe;
   ]

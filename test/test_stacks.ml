@@ -1,7 +1,9 @@
 (** Tests of the stack facade: every stack comes up, round-trips a file
-    and leaves a clean image; names round-trip; and a finished machine —
+    and leaves a clean image; names round-trip; a finished machine —
     even one crashed with a CAS store and a pushdown program still
-    attached — is garbage-collected, so no module-level table holds it. *)
+    attached — is garbage-collected, so no module-level table holds it;
+    and remounting does not grow the heap, so an unmounted stack keeps
+    nothing but its device image. *)
 
 open Helpers
 
@@ -57,12 +59,60 @@ let test_dropped_machine_is_collected () =
   Gc.full_major ();
   Alcotest.(check bool) "machine collected" false (Weak.check probe 0)
 
+let live_mb () =
+  Gc.full_major ();
+  float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+  /. 1048576.
+
+(* Each mount reads the whole file through its own caches; once unmounted
+   they must be empty or unreachable, so the live heap after the fifth
+   cycle matches the first. *)
+let test_remounts_keep_heap_flat k () =
+  let machine = Stacks.machine ~disk_blocks:default_disk_blocks () in
+  let data = payload (4 * 1024 * 1024) in
+  let in_fiber f =
+    let result = ref None in
+    Kernel.Machine.spawn machine (fun () -> result := Some (f ()));
+    Kernel.Machine.run machine;
+    Option.get !result
+  in
+  in_fiber (fun () ->
+      Stacks.mkfs k machine;
+      let os, unmount = Stacks.mount k machine in
+      ok (Kernel.Os.write_file os "/f" data);
+      unmount ());
+  let cycle () =
+    let got =
+      in_fiber (fun () ->
+          let os, unmount = Stacks.mount k machine in
+          let got = ok (Kernel.Os.read_file os "/f") in
+          unmount ();
+          got)
+    in
+    Alcotest.(check bool) "file reads back" true (Bytes.equal data got);
+    live_mb ()
+  in
+  let first = cycle () in
+  for _ = 2 to 4 do
+    ignore (cycle ())
+  done;
+  let growth = cycle () -. first in
+  (* Both stay live through every measurement, the last one included. *)
+  ignore (Sys.opaque_identity (machine, data));
+  if growth >= 1.0 then
+    Alcotest.failf "live heap grew %.1f MB from remount 1 to 5" growth
+
 let suite =
   List.map
     (fun k ->
       tc (Stacks.name k ^ ": mkfs, mount, file round trip, fsck clean") `Quick
         (test_round_trip k))
     Stacks.all
+  @ List.map
+      (fun k ->
+        tc (Stacks.name k ^ ": remounts keep the heap flat") `Quick
+          (test_remounts_keep_heap_flat k))
+      Stacks.all
   @ [
       tc "names round-trip through of_string" `Quick test_names;
       tc "dropped machine is collected" `Quick

@@ -1,5 +1,6 @@
 (** Unit tests of the FUSE daemon's user-level buffer cache: its eviction
-    order against a reference model of the rule, and the pin case. *)
+    order against a reference model of the rule, the pin case, and
+    invalidation at unmount. *)
 
 open Helpers
 
@@ -167,9 +168,54 @@ let test_unpinned_keeps_release_order () =
       Alcotest.(check int) "block 0 was the victim" (misses + 1)
         (counter ubc "misses"))
 
+let test_invalidate_drops_every_buffer () =
+  with_ubc (fun ubc ->
+      for blk = 0 to capacity - 1 do
+        Fusesim.Ubcache.brelse ubc (Fusesim.Ubcache.bread ubc blk)
+      done;
+      (* the disk file now differs from the cached copy of block 3 *)
+      Fusesim.Ubcache.raw_write ubc 3 (Bytes.make 4096 'n');
+      Fusesim.Ubcache.invalidate ubc;
+      Alcotest.(check int) "nothing cached" 0 (Fusesim.Ubcache.cached_blocks ubc);
+      let before = counter ubc "misses" in
+      let b = Fusesim.Ubcache.bread ubc 3 in
+      Alcotest.(check int) "next bread misses" (before + 1) (counter ubc "misses");
+      Alcotest.(check char) "disk bytes" 'n' (Bytes.get (Fusesim.Ubcache.data b) 0);
+      Fusesim.Ubcache.brelse ubc b;
+      (* the emptied list still evicts in release order *)
+      for blk = 10 to 10 + capacity do
+        Fusesim.Ubcache.brelse ubc (Fusesim.Ubcache.bread ubc blk)
+      done;
+      Alcotest.(check int) "full again" capacity
+        (Fusesim.Ubcache.cached_blocks ubc))
+
+let test_invalidate_refuses_busy_buffers () =
+  with_ubc (fun ubc ->
+      let refused what =
+        let cached = Fusesim.Ubcache.cached_blocks ubc in
+        (match Fusesim.Ubcache.invalidate ubc with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "invalidate accepted a %s buffer" what);
+        Alcotest.(check int) (what ^ ": cache kept") cached
+          (Fusesim.Ubcache.cached_blocks ubc)
+      in
+      let b = Fusesim.Ubcache.bread ubc 1 in
+      refused "held";
+      Fusesim.Ubcache.pin b;
+      Fusesim.Ubcache.brelse ubc b;
+      refused "pinned";
+      Fusesim.Ubcache.unpin b;
+      Fusesim.Ubcache.invalidate ubc;
+      Alcotest.(check int) "emptied once idle" 0
+        (Fusesim.Ubcache.cached_blocks ubc))
+
 let suite =
   [
     tc "eviction order == reference model" `Quick test_matches_model;
     tc "unpinned buffer keeps its release order" `Quick
       test_unpinned_keeps_release_order;
+    tc "invalidate drops every buffer" `Quick
+      test_invalidate_drops_every_buffer;
+    tc "invalidate refuses held, pinned" `Quick
+      test_invalidate_refuses_busy_buffers;
   ]
