@@ -52,6 +52,7 @@ type t = {
   block_size : int;
   nblocks : int;
   stable : Bytes.t option array;  (** durable contents, [None] = zeroes *)
+  zero : Bytes.t;  (** shared all-zeroes payload for never-written blocks *)
   volatile : (int, Bytes.t) Hashtbl.t;  (** written, not yet flushed *)
   write_order : int Queue.t;
       (** volatile-cache insertion order (oldest first). May contain stale
@@ -83,6 +84,7 @@ let create ?(config = default_config) ?tracer ?profile ~nblocks ~block_size
     block_size;
     nblocks;
     stable = Array.make nblocks None;
+    zero = Bytes.make block_size '\000';
     volatile = Hashtbl.create 1024;
     write_order = Queue.create ();
     channels = Sim.Resource.create ~name:"ssd-channels" config.channels;
@@ -149,14 +151,14 @@ let channel_io t dur =
       Sim.Profile.with_frame t.profile "device-io" (fun () ->
           Sim.Resource.busy_sleep t.channels dur))
 
-(* Fetch current durable-or-volatile contents of [block] as a fresh copy. *)
-let peek t block =
-  match Hashtbl.find_opt t.volatile block with
-  | Some b -> Bytes.copy b
-  | None -> (
-      match t.stable.(block) with
-      | Some b -> Bytes.copy b
-      | None -> Bytes.make t.block_size '\000')
+(* The stored payload of [block] itself: the volatile copy unless
+   [stable], else the durable one, else the shared zero block. Payloads are
+   replace-only (see [crash_view]), so the result never changes under the
+   caller, who must not mutate it. *)
+let stored ?(stable = false) t block =
+  match if stable then None else Hashtbl.find_opt t.volatile block with
+  | Some b -> b
+  | None -> ( match t.stable.(block) with Some b -> b | None -> t.zero)
 
 (* One read command covering [count] consecutive blocks (fiber-blocking). *)
 let read_cmd t ~start ~count =
@@ -173,7 +175,7 @@ let read_cmd t ~start ~count =
     (Int64.sub (Sim.Engine.now t.engine) t0);
   Sim.Trace.span_end t.tracer ~cat:"device" "ssd:read";
   if t.failed then raise Device_failed;
-  let result = Array.init count (fun i -> peek t (start + i)) in
+  let result = Array.init count (fun i -> Bytes.copy (stored t (start + i))) in
   notify t Cmd_read;
   result
 
@@ -373,9 +375,11 @@ let fail t = t.failed <- true
 
 (* Direct, non-timed access for mkfs/fsck-style offline tools and tests. *)
 module Offline = struct
-  let read t block =
+  let view ?stable t block =
     check t block;
-    peek t block
+    stored ?stable t block
+
+  let read t block = Bytes.copy (view t block)
 
   let write t block data =
     check t block;
@@ -384,9 +388,5 @@ module Offline = struct
     t.stable_epoch <- t.stable_epoch + 1;
     Hashtbl.remove t.volatile block
 
-  let stable_read t block =
-    check t block;
-    match t.stable.(block) with
-    | Some b -> Bytes.copy b
-    | None -> Bytes.make t.block_size '\000'
+  let stable_read t block = Bytes.copy (view ~stable:true t block)
 end

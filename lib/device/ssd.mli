@@ -134,4 +134,12 @@ module Offline : sig
 
   val stable_read : t -> int -> Bytes.t
   (** Only what would survive a crash right now. *)
+
+  val view : ?stable:bool -> t -> int -> Bytes.t
+  (** {!read} (or with [~stable:true] {!stable_read}) without the copy:
+      the stored payload itself, or one shared zero block for a block
+      never written. Read-only: the caller must not mutate it. Payloads
+      are replace-only, so the bytes never change afterwards, whatever
+      the device does next. This is what lets an offline checker walk a
+      large image without allocating a block per read. *)
 end

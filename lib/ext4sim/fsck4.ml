@@ -1,7 +1,6 @@
-(** Offline consistency checker for the simplified ext4 format: superblock,
-    per-group bitmaps vs. extent references, extent overlap detection,
-    directory graph, link counts, reachability. The ext4 counterpart of
-    [Xv6fs.Fsck], used by the crash-injection tests. *)
+(** Offline consistency checker for the simplified ext4 format. See
+    fsck4.mli. Blocks are read in place through [Device.Ssd.Offline.view];
+    nothing here mutates a block. *)
 
 module L = Layout4
 
@@ -25,7 +24,9 @@ let pp_report ppf r =
 let bit_get data bit =
   Char.code (Bytes.get data (bit / 8)) land (1 lsl (bit mod 8)) <> 0
 
-let check ~read_block ~nblocks () : report =
+let check_device ?stable dev : report =
+  let read_block = Device.Ssd.Offline.view ?stable dev in
+  let nblocks = Device.Ssd.nblocks dev in
   let errors = ref [] and warnings = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
@@ -46,12 +47,13 @@ let check ~read_block ~nblocks () : report =
       (* load all live inodes with their full extent lists *)
       let inodes = Hashtbl.create 1024 in
       for ino = 1 to L.total_inodes sb do
-        let blk = L.inode_block sb ino in
-        let data = read_block blk in
-        match L.get_dinode data ~slot:(L.inode_slot sb ino) with
-        | Error msg -> err "inode %d: %s" ino msg
-        | Ok d ->
-            if d.L.kind <> L.K_free then begin
+        let data = read_block (L.inode_block sb ino)
+        and slot = L.inode_slot sb ino in
+        (* a free slot is skipped without decoding it *)
+        if L.inode_in_use data ~slot then
+          match L.get_dinode data ~slot with
+          | Error msg -> err "inode %d: %s" ino msg
+          | Ok d ->
               (* expand inline + leaf extents *)
               let exts = ref [] in
               let remaining = ref d.L.nextents in
@@ -65,9 +67,9 @@ let check ~read_block ~nblocks () : report =
               Array.iter
                 (fun leaf ->
                   if leaf <> 0 && !remaining > 0 then begin
-                    if leaf >= sb.L.total_blocks then
-                      err "inode %d: leaf block %d out of range" ino leaf
-                    else begin
+                    (* an out-of-range leaf is reported with the
+                       block references below *)
+                    if leaf < sb.L.total_blocks then begin
                       let ldata = read_block leaf in
                       let n = min (L.get_leaf_count ldata) !remaining in
                       for i = 0 to n - 1 do
@@ -80,47 +82,54 @@ let check ~read_block ~nblocks () : report =
               if !remaining > 0 then
                 err "inode %d: %d extents missing from leaves" ino !remaining;
               Hashtbl.add inodes ino (d, List.rev !exts)
-            end
       done;
-      (* extent references: range checks, overlap detection, bitmap *)
+      (* block ownership: every extent block and every leaf block lies in
+         a group's data area, belongs to exactly one inode and is marked
+         in its group's bitmap *)
       let owner = Hashtbl.create 4096 in
+      let groups_end = L.group_start sb sb.L.ngroups in
+      let claim ino what blk =
+        if blk < sb.L.first_group_block || blk >= groups_end then
+          err "inode %d: %s %d out of range" ino what blk
+        else begin
+          let g = L.group_of_block sb blk in
+          if blk < L.group_data_start sb g then
+            err "inode %d: %s %d is group %d metadata" ino what blk g;
+          (match Hashtbl.find_opt owner blk with
+          | Some other ->
+              err "%s %d owned by inode %d and inode %d" what blk other ino
+          | None -> Hashtbl.add owner blk ino);
+          let bm = read_block (L.group_block_bitmap sb g) in
+          if not (bit_get bm (blk - L.group_start sb g)) then
+            err "%s %d used by inode %d but free in bitmap" what blk ino
+        end
+      in
       Hashtbl.iter
         (fun ino ((d : L.dinode), exts) ->
-          ignore d;
+          Array.iter
+            (fun leaf -> if leaf <> 0 then claim ino "leaf block" leaf)
+            d.L.leaves;
           List.iter
             (fun (e : L.extent) ->
               for j = 0 to e.L.e_len - 1 do
-                let blk = e.L.e_physical + j in
-                if blk < sb.L.first_group_block || blk >= sb.L.total_blocks
-                then err "inode %d: block %d out of range" ino blk
-                else begin
-                  (match Hashtbl.find_opt owner blk with
-                  | Some other ->
-                      err "block %d owned by inode %d and inode %d" blk other
-                        ino
-                  | None -> Hashtbl.add owner blk ino);
-                  (* leaves are also owned blocks; handled below *)
-                  let g = L.group_of_block sb blk in
-                  let bm = read_block (L.group_block_bitmap sb g) in
-                  if not (bit_get bm (blk - L.group_start sb g)) then
-                    err "block %d used by inode %d but free in bitmap" blk ino
-                end
+                claim ino "block" (e.L.e_physical + j)
               done)
             exts)
         inodes;
-      (* leaf blocks must also be marked used *)
-      Hashtbl.iter
-        (fun ino ((d : L.dinode), _) ->
-          Array.iter
-            (fun leaf ->
-              if leaf <> 0 then begin
-                let g = L.group_of_block sb leaf in
-                let bm = read_block (L.group_block_bitmap sb g) in
-                if not (bit_get bm (leaf - L.group_start sb g)) then
-                  err "leaf block %d of inode %d free in bitmap" leaf ino
-              end)
-            d.L.leaves)
-        inodes;
+      (* reverse bitmap check: each group's own metadata is marked used,
+         and no data-area block is marked used unless an inode owns it *)
+      for g = 0 to sb.L.ngroups - 1 do
+        let gstart = L.group_start sb g and data = L.group_data_start sb g in
+        let bm = read_block (L.group_block_bitmap sb g) in
+        for blk = gstart to data - 1 do
+          if not (bit_get bm (blk - gstart)) then
+            err "group %d metadata block %d free in bitmap" g blk
+        done;
+        for blk = data to gstart + sb.L.group_size - 1 do
+          if bit_get bm (blk - gstart) && not (Hashtbl.mem owner blk) then
+            err "block %d marked used but unreferenced" blk
+        done
+      done;
       (* inode bitmap cross-check *)
       for ino = 1 to L.total_inodes sb do
         let g = L.group_of_ino sb ino in
@@ -194,10 +203,3 @@ let check ~read_block ~nblocks () : report =
         symlinks = !links;
         used_blocks = Hashtbl.length owner;
       }
-
-let check_device ?(stable = false) dev =
-  let read_block blk =
-    if stable then Device.Ssd.Offline.stable_read dev blk
-    else Device.Ssd.Offline.read dev blk
-  in
-  check ~read_block ~nblocks:(Device.Ssd.nblocks dev) ()

@@ -138,6 +138,10 @@ let put_dinode block ~slot (d : dinode) =
     (fun i p -> Util.Bytesio.set_u32 block (off + 20 + (inline_extents * 12) + (i * 4)) p)
     d.leaves
 
+(** Whether an inode slot is allocated, without decoding it. *)
+let inode_in_use block ~slot =
+  Util.Bytesio.get_u16 block (slot * inode_size) <> kind_to_int K_free
+
 let get_dinode block ~slot : (dinode, string) result =
   let off = slot * inode_size in
   match kind_of_int (Util.Bytesio.get_u16 block off) with

@@ -28,10 +28,14 @@ let pp_report ppf r =
 let bitmap_get data bit =
   Char.code (Bytes.get data (bit / 8)) land (1 lsl (bit mod 8)) <> 0
 
-(** Check the image exposed by [read_block] (typically
-    [Device.Ssd.Offline.stable_read dev], the post-crash durable state
-    after log recovery, or [Device.Ssd.Offline.read] for the live view). *)
-let check ~read_block ~nblocks () : report =
+(** Check a device's current contents, or with [~stable:true] only what
+    would survive a crash right now (the post-crash durable state after
+    log recovery). Blocks are read in place through
+    [Device.Ssd.Offline.view], so a check costs O(metadata) allocation
+    whatever the device size; nothing here mutates a block. *)
+let check_device ?stable dev : report =
+  let read_block = Device.Ssd.Offline.view ?stable dev in
+  let nblocks = Device.Ssd.nblocks dev in
   let errors = ref [] and warnings = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
@@ -242,12 +246,3 @@ let check ~read_block ~nblocks () : report =
         used_blocks = !used;
         pending_log = log_header.L.n;
       }
-
-(** Convenience: check a device's durable state (what would survive a
-    crash), typically after running mount-time recovery. *)
-let check_device ?(stable = false) dev =
-  let read_block blk =
-    if stable then Device.Ssd.Offline.stable_read dev blk
-    else Device.Ssd.Offline.read dev blk
-  in
-  check ~read_block ~nblocks:(Device.Ssd.nblocks dev) ()

@@ -136,6 +136,74 @@ let test_out_of_range () =
       | exception Device.Ssd.Out_of_range _ -> ()
       | _ -> Alcotest.fail "write out of range accepted")
 
+(* [Offline.view] is [Offline.read] / [stable_read] without the copy: same
+   bytes for stable, volatile and never-written blocks. *)
+let test_offline_view_agrees () =
+  with_dev (fun _e d ->
+      Device.Ssd.write d 1 (block 's');
+      Device.Ssd.write d 2 (block 'o');
+      Device.Ssd.flush d;
+      Device.Ssd.write d 2 (block 'n');
+      Device.Ssd.write d 3 (block 'v');
+      let module O = Device.Ssd.Offline in
+      List.iter
+        (fun blk ->
+          let name what = Printf.sprintf "block %d: %s" blk what in
+          Alcotest.(check bytes) (name "view = read") (O.read d blk)
+            (O.view d blk);
+          Alcotest.(check bytes)
+            (name "view ~stable = stable_read")
+            (O.stable_read d blk) (O.view ~stable:true d blk))
+        [ 1; 2; 3; 4 ];
+      Alcotest.(check bytes) "volatile wins" (block 'n') (O.view d 2);
+      Alcotest.(check bytes) "stable copy under it" (block 'o')
+        (O.view ~stable:true d 2);
+      Alcotest.(check bytes) "unflushed block is zero when stable"
+        (block '\000') (O.view ~stable:true d 3);
+      Alcotest.(check bytes) "never written reads zero" (block '\000')
+        (O.view d 4))
+
+(* Payloads are replace-only, so bytes handed out by [view] stay as they
+   were whatever the device does next. *)
+let test_offline_view_is_stable () =
+  with_dev (fun _e d ->
+      let module O = Device.Ssd.Offline in
+      Device.Ssd.write d 1 (block 'a');
+      Device.Ssd.flush d;
+      Device.Ssd.write d 1 (block 'b');
+      let durable = O.view ~stable:true d 1
+      and current = O.view d 1
+      and unwritten = O.view d 2 in
+      let unchanged after =
+        Alcotest.(check bytes) ("durable after " ^ after) (block 'a') durable;
+        Alcotest.(check bytes) ("current after " ^ after) (block 'b') current;
+        Alcotest.(check bytes) ("unwritten after " ^ after) (block '\000')
+          unwritten
+      in
+      Device.Ssd.write d 1 (block 'c');
+      Device.Ssd.write d 2 (block 'c');
+      unchanged "write";
+      Device.Ssd.flush d;
+      unchanged "flush";
+      Device.Ssd.write d 1 (block 'd');
+      Device.Ssd.crash ~survive:1.0 ~rng:(Sim.Rng.create 1) d;
+      unchanged "crash";
+      O.write d 1 (block 'e');
+      O.write d 2 (block 'e');
+      unchanged "Offline.write";
+      Alcotest.(check bytes) "later view sees the new bytes" (block 'e')
+        (O.view d 1))
+
+let test_offline_view_out_of_range () =
+  with_dev (fun _e d ->
+      List.iter
+        (fun blk ->
+          match Device.Ssd.Offline.view d blk with
+          | exception Device.Ssd.Out_of_range b ->
+              Alcotest.(check int) "names the block" blk b
+          | _ -> Alcotest.failf "view of block %d accepted" blk)
+        [ -1; 4096 ])
+
 let test_failed_device () =
   with_dev (fun _e d ->
       Device.Ssd.fail d;
@@ -206,6 +274,9 @@ let suite =
     tc "crash survive bounds + crash_view" `Quick test_crash_survive_bounds;
     tc "flush cost scales" `Quick test_flush_cost_scales_with_dirty;
     tc "out of range" `Quick test_out_of_range;
+    tc "offline view agrees with read" `Quick test_offline_view_agrees;
+    tc "offline view bytes never change" `Quick test_offline_view_is_stable;
+    tc "offline view out of range" `Quick test_offline_view_out_of_range;
     tc "failed device" `Quick test_failed_device;
     tc "channel parallelism" `Quick test_channels_parallelism;
   ]

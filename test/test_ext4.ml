@@ -308,6 +308,86 @@ let test_fsck4_populated () =
       Alcotest.(check int) "dirs" 2 r.Ext4sim.Fsck4.directories;
       Alcotest.(check int) "symlinks" 1 r.Ext4sim.Fsck4.symlinks)
 
+(* Image surgery: corrupt a clean image holding one small file, then
+   fsck must report one of the expected errors. *)
+let flip_bit dev blk bit =
+  let data = Device.Ssd.Offline.read dev blk in
+  let byte = Char.code (Bytes.get data (bit / 8)) in
+  Bytes.set data (bit / 8) (Char.chr (byte lxor (1 lsl (bit mod 8))));
+  Device.Ssd.Offline.write dev blk data
+
+let edit_dinode dev sb ino f =
+  let module L = Ext4sim.Layout4 in
+  let blk = L.inode_block sb ino and slot = L.inode_slot sb ino in
+  let data = Device.Ssd.Offline.read dev blk in
+  (match L.get_dinode data ~slot with
+  | Ok d -> L.put_dinode data ~slot (f d)
+  | Error e -> Alcotest.fail e);
+  Device.Ssd.Offline.write dev blk data
+
+let test_fsck4_reports corrupt () =
+  in_sim (fun machine ->
+      ok (Ext4sim.Ext4.mkfs machine);
+      let vfs, h = ok (Ext4sim.Ext4.mount ~background:false machine) in
+      let os = Kernel.Os.create vfs in
+      ok (Kernel.Os.write_file os "/f" (payload 8192));
+      let ino = (ok (Kernel.Os.stat os "/f")).Kernel.Vfs.st_ino in
+      Ext4sim.Ext4.unmount vfs h;
+      fsck4_clean machine "before surgery";
+      let dev = Kernel.Machine.disk machine in
+      let sb =
+        match Ext4sim.Layout4.get_superblock (Device.Ssd.Offline.read dev 1) with
+        | Ok sb -> sb
+        | Error e -> Alcotest.fail e
+      in
+      let expected = corrupt dev sb ino in
+      let errors = (Ext4sim.Fsck4.check_device dev).Ext4sim.Fsck4.errors in
+      if not (List.exists (fun e -> List.mem e expected) errors) then
+        Alcotest.failf "expected one of [%s], got [%s]"
+          (String.concat " | " expected)
+          (String.concat " | " errors))
+
+let fsck4_corruptions =
+  let module L = Ext4sim.Layout4 in
+  [
+    (* a data-area block marked used that no inode owns is a leak *)
+    ( "a leaked block",
+      fun dev sb _ ->
+        let last = L.group_start sb 0 + sb.L.group_size - 1 in
+        flip_bit dev (L.group_block_bitmap sb 0) (last - L.group_start sb 0);
+        [ Printf.sprintf "block %d marked used but unreferenced" last ] );
+    (* free group metadata could be handed out as file data *)
+    ( "free group metadata",
+      fun dev sb _ ->
+        let ibm = L.group_inode_bitmap sb 0 in
+        flip_bit dev (L.group_block_bitmap sb 0) (ibm - L.group_start sb 0);
+        [ Printf.sprintf "group 0 metadata block %d free in bitmap" ibm ] );
+    (* an extent over group metadata, which the bitmap marks used *)
+    ( "file data in group metadata",
+      fun dev sb ino ->
+        let ibm = L.group_inode_bitmap sb 0 in
+        edit_dinode dev sb ino (fun d ->
+            let inline = Array.copy d.L.inline in
+            inline.(0) <- { (inline.(0)) with L.e_physical = ibm };
+            { d with L.inline });
+        [ Printf.sprintf "inode %d: block %d is group 0 metadata" ino ibm ] );
+    (* a leaf pointer into another inode's data, which the bitmap marks
+       used, is a doubly-owned block *)
+    ( "a shared leaf block",
+      fun dev sb ino ->
+        let root_data = L.group_data_start sb 0 in
+        edit_dinode dev sb ino (fun d ->
+            let leaves = Array.copy d.L.leaves in
+            leaves.(0) <- root_data;
+            { d with L.leaves });
+        [
+          Printf.sprintf "leaf block %d owned by inode %d and inode %d"
+            root_data L.root_ino ino;
+          Printf.sprintf "block %d owned by inode %d and inode %d" root_data
+            ino L.root_ino;
+        ] );
+  ]
+
 let test_fsck4_after_crash_recovery () =
   with_seed ~default:31 @@ fun seed ->
   in_sim (fun machine ->
@@ -384,3 +464,7 @@ let suite =
     tc "persistence across remount" `Quick test_persistence_across_remount;
     tc "re-mkfs forgets the old journal" `Quick test_remkfs_forgets_old_journal;
   ]
+  @ List.map
+      (fun (name, corrupt) ->
+        tc ("fsck.ext4 reports " ^ name) `Quick (test_fsck4_reports corrupt))
+      fsck4_corruptions

@@ -2,8 +2,9 @@
     and leaves a clean image; names round-trip; a finished machine —
     even one crashed with a CAS store and a pushdown program still
     attached — is garbage-collected, so no module-level table holds it;
-    and remounting does not grow the heap, so an unmounted stack keeps
-    nothing but its device image. *)
+    remounting does not grow the heap, so an unmounted stack keeps
+    nothing but its device image; and fsck of a large image allocates
+    in proportion to its metadata. *)
 
 open Helpers
 
@@ -102,6 +103,24 @@ let test_remounts_keep_heap_flat k () =
   if growth >= 1.0 then
     Alcotest.failf "live heap grew %.1f MB from remount 1 to 5" growth
 
+(* fsck reads the image in place, so checking a freshly formatted 1 GiB
+   device allocates in proportion to its metadata, not its 262,144
+   blocks: a checker that copied one 4 KB block per data block it
+   checks would allocate a gigabyte here. *)
+let fsck_alloc_bound_mb = 16.
+
+let test_fsck_allocates_o_metadata k () =
+  let machine = Stacks.machine ~disk_blocks:262_144 () in
+  Kernel.Machine.spawn machine (fun () -> Stacks.mkfs k machine);
+  Kernel.Machine.run machine;
+  let before = Gc.allocated_bytes () in
+  let errors = Stacks.fsck k machine in
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576. in
+  Alcotest.(check (list string)) "fresh image is clean" [] errors;
+  if mb >= fsck_alloc_bound_mb then
+    Alcotest.failf "fsck of a fresh 1 GiB image allocated %.1f MB (bound %.0f)"
+      mb fsck_alloc_bound_mb
+
 let suite =
   List.map
     (fun k ->
@@ -118,3 +137,8 @@ let suite =
       tc "dropped machine is collected" `Quick
         test_dropped_machine_is_collected;
     ]
+  @ List.map
+      (fun k ->
+        tc (Stacks.name k ^ ": fsck of a 1 GiB image allocates O(metadata)")
+          `Quick (test_fsck_allocates_o_metadata k))
+      Stacks.[ Bento; Ext4 ]
