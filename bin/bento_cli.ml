@@ -297,7 +297,7 @@ let check_cmd =
       value
       & opt string "all"
       & info [ "fs" ]
-          ~doc:(stack_names ^ "|all — stacks to check; all is the crash-clean bento|fuse|ext4"))
+          ~doc:(stack_names ^ "|all — stacks to check; all is every stack, all crash-clean"))
   in
   let inject =
     Arg.(

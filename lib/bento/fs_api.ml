@@ -166,3 +166,154 @@ let vfs_stat a =
     st_size = a.a_size;
     st_nlink = a.a_nlink;
   }
+
+let vfs_dirent de =
+  { Kernel.Vfs.d_name = de.name; d_ino = de.ino; d_kind = vfs_kind de.kind }
+
+(** How a VFS call enters the file system: [call f] runs [f] against the
+    dispatch table in force. BentoFS enters under its dispatch lock with a
+    counted, traced crossing; a file system registered straight with the
+    VFS makes a plain call. *)
+type entry = { call : 'a. (dispatch -> 'a) -> 'a }
+
+(** The VFS function-pointer table over a dispatch table. [enter op]
+    (e.g. [enter "lookup"]) is asked once per operation when the table is
+    built; [wb_batch] is the most dirty pages one [write_pages] call
+    carries (1 = writepage). *)
+let vfs_ops (machine : Kernel.Machine.t) ~(enter : string -> entry) ~fs_name
+    ~wb_batch ~max_file_size : Kernel.Vfs.fs_ops =
+  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+  let psz = Device.Ssd.block_size (Kernel.Machine.disk machine) in
+  let stat_of = Result.map vfs_stat in
+  let readdir d ~ino = Result.map (List.map vfs_dirent) (d.d_readdir ~ino) in
+  {
+    Kernel.Vfs.fs_name;
+    root_ino = 1;
+    lookup =
+      (let e = enter "lookup" in
+       fun ~dir name -> e.call (fun d -> stat_of (d.d_lookup ~dir name)));
+    getattr =
+      (let e = enter "getattr" in
+       fun ino -> e.call (fun d -> stat_of (d.d_getattr ~ino)));
+    create =
+      (let e = enter "create" in
+       fun ~dir name -> e.call (fun d -> stat_of (d.d_create ~dir name)));
+    mkdir =
+      (let e = enter "mkdir" in
+       fun ~dir name -> e.call (fun d -> stat_of (d.d_mkdir ~dir name)));
+    unlink =
+      (let e = enter "unlink" in
+       fun ~dir name -> e.call (fun d -> d.d_unlink ~dir name));
+    rmdir =
+      (let e = enter "rmdir" in
+       fun ~dir name -> e.call (fun d -> d.d_rmdir ~dir name));
+    rename =
+      (let e = enter "rename" in
+       fun ~olddir ~oldname ~newdir ~newname ->
+         e.call (fun d -> d.d_rename ~olddir ~oldname ~newdir ~newname));
+    link =
+      (let e = enter "link" in
+       fun ~ino ~dir name ->
+         e.call (fun d -> stat_of (d.d_link ~ino ~dir name)));
+    symlink =
+      (let e = enter "symlink" in
+       fun ~dir name ~target ->
+         e.call (fun d -> stat_of (d.d_symlink ~dir name ~target)));
+    readlink =
+      (let e = enter "readlink" in
+       fun ~ino -> e.call (fun d -> d.d_readlink ~ino));
+    readdir =
+      (let e = enter "readdir" in
+       fun ino -> e.call (fun d -> readdir d ~ino));
+    readdir_filter =
+      (let e = enter "readdir_filter" in
+       fun ino ~prog ->
+         (* The whole scan — readdir, filter, per-entry getattr — happens
+            in ONE call into the fs; the registered program decides which
+            entries survive. *)
+         e.call (fun d ->
+             Kernel.Pushdown.filter_dir
+               (Kernel.Pushdown.registry machine)
+               ~name:prog
+               ~readdir:(fun () -> readdir d ~ino)
+               ~getattr:(fun ino -> stat_of (d.d_getattr ~ino))));
+    bmap =
+      (let e = enter "bmap" in
+       fun ~ino ~fbn -> e.call (fun d -> d.d_bmap ~ino ~fbn));
+    readpage =
+      (let e = enter "readpage" in
+       fun ~ino ~index ->
+         e.call (fun d ->
+             let* data = d.d_read ~ino ~off:(index * psz) ~len:psz in
+             (* VFS wants a full page; zero-fill a short read at EOF. *)
+             if Bytes.length data = psz then Ok data
+             else begin
+               let page = Bytes.make psz '\000' in
+               Bytes.blit data 0 page 0 (Bytes.length data);
+               Ok page
+             end));
+    readahead =
+      (let e = enter "readahead" in
+       fun ~ino ~start ~count ->
+         e.call (fun d ->
+             (* One fs read for the whole window: the fs maps the span and
+                pulls it through the cache with one [bread_multi], whose
+                device commands are the services' choice. *)
+             let* data = d.d_read ~ino ~off:(start * psz) ~len:(count * psz) in
+             Ok
+               (Array.init count (fun i ->
+                    let page = Bytes.make psz '\000' in
+                    let off = i * psz in
+                    let n = min psz (max 0 (Bytes.length data - off)) in
+                    if n > 0 then Bytes.blit data off page 0 n;
+                    page))));
+    write_pages =
+      (let e = enter "write_pages" in
+       fun ~ino ~isize pages ->
+         e.call (fun d ->
+             (* Contiguous dirty run (at most [wb_batch] pages): one fs
+                write. Clamp the tail to the inode size so the fs records
+                the true size. *)
+             match Array.length pages with
+             | 0 -> Ok ()
+             | n ->
+                 let first_index = fst pages.(0) in
+                 let buf = Bytes.create (n * psz) in
+                 Array.iteri
+                   (fun i (_, data) -> Bytes.blit data 0 buf (i * psz) psz)
+                   pages;
+                 let off = first_index * psz in
+                 let len = min (Bytes.length buf) (max 0 (isize - off)) in
+                 if len = 0 then Ok ()
+                 else
+                   let* _ = d.d_write ~ino ~off (Bytes.sub buf 0 len) in
+                   Ok ()));
+    truncate =
+      (let e = enter "truncate" in
+       fun ~ino size -> e.call (fun d -> d.d_truncate ~ino ~size));
+    fsync =
+      (let e = enter "fsync" in
+       fun ~ino -> e.call (fun d -> d.d_fsync ~ino));
+    sync_fs =
+      (let e = enter "sync_fs" in
+       fun () -> e.call (fun d -> d.d_sync ()));
+    iopen =
+      (let e = enter "iopen" in
+       fun ~ino -> e.call (fun d -> d.d_iopen ~ino));
+    irelease =
+      (let e = enter "irelease" in
+       fun ~ino -> e.call (fun d -> d.d_irelease ~ino));
+    statfs =
+      (let e = enter "statfs" in
+       fun () ->
+         e.call (fun d ->
+             let s = d.d_statfs () in
+             {
+               Kernel.Vfs.f_blocks = s.s_blocks;
+               f_bfree = s.s_bfree;
+               f_files = s.s_files;
+               f_ffree = s.s_ffree;
+             }));
+    wb_batch;
+    max_file_size;
+  }

@@ -223,12 +223,7 @@ let handler_of machine (d : Bento.Fs_api.dispatch) : Fusesim.Daemon.handler =
              ~name:prog
              ~readdir:(fun () ->
                Result.map
-                 (List.map (fun (de : Bento.Fs_api.dentry) ->
-                      {
-                        Kernel.Vfs.d_name = de.Bento.Fs_api.name;
-                        d_ino = de.Bento.Fs_api.ino;
-                        d_kind = Bento.Fs_api.vfs_kind de.Bento.Fs_api.kind;
-                      }))
+                 (List.map Bento.Fs_api.vfs_dirent)
                  (d.Bento.Fs_api.d_readdir ~ino))
              ~getattr:(fun ino ->
                Result.map Bento.Fs_api.vfs_stat (d.Bento.Fs_api.d_getattr ~ino))));

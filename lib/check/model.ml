@@ -8,7 +8,7 @@
     "which prefix of the metadata history is this?".
 
     Durability is modelled by the checker on top (see {!Checker}): all
-    three stacks journal the whole file system through a single ordered
+    four stacks journal the whole file system through a single ordered
     log, so a legal post-crash namespace is some prefix of the metadata
     history no older than the last completed durability barrier, and legal
     post-crash file contents are, per page, the value at some write no
@@ -70,7 +70,7 @@ let kind_to_string = function
   | KDir -> "dir"
   | KSymlink -> "symlink"
 
-(** Observable result of an operation, normalized so all three stacks can
+(** Observable result of an operation, normalized so every stack can
     be compared against it. File contents are digests; readdir is a sorted
     name list; stat omits st_ino (implementation-defined) and sizes of
     non-regular files (dirent-block vs target-length conventions differ

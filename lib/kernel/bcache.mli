@@ -1,5 +1,5 @@
 (** Kernel buffer cache with the Linux/xv6 [sb_bread]/[brelse] protocol
-    that BentoKS wraps and the C baseline calls directly.
+    that BentoKS wraps and ext4 calls directly.
 
     A [buf] is the in-kernel image of one disk block: [bread] returns it
     with its sleeplock held and reference taken; the holder must [brelse].

@@ -4,8 +4,8 @@
     measure exactly the same stacks:
 
     - [Bento]: xv6fs inserted into the simulated kernel through BentoFS;
-    - [Ckernel]: the hand-written C-style kernel xv6 baseline
-      ([Vfs_xv6]), same on-disk format;
+    - [Ckernel]: the same xv6fs code bound straight to the VFS with the
+      C baseline's writepage and per-block synchronous I/O ([Vfs_xv6]);
     - [Fuse]: the same xv6fs code running as a userspace daemon behind
       the FUSE transport;
     - [Ext4]: the native ext4 comparator in data=journal mode. *)

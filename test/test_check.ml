@@ -76,9 +76,22 @@ let crash_smoke kind () =
   in
   report_clean (Stacks.name kind ^ " crash smoke") r
 
+(* The C-kernel baseline once ran a private copy of the xv6 log,
+   allocators and directories, and these sampled traces caught its crash
+   bugs: inodes left allocated but unreachable from the root (all three
+   seeds) and symlinks that survived a crash with an empty target (seeds
+   42 and 7). *)
+let ckernel_crash_trace seed () =
+  let r =
+    Check.Checker.run ~seed ~ops:300 ~stacks:[ Stacks.Ckernel ]
+      ~mode:(Some (Check.Checker.Sample 32))
+      ()
+  in
+  report_clean (Printf.sprintf "ckernel crash trace (seed %d)" seed) r
+
 (* ------------------------------------------------------------------ *)
 (* Handcrafted traces: rename and symlink crash behaviour (every crash
-   point enumerated, all three stacks)                                 *)
+   point enumerated, every crash-clean stack)                          *)
 (* ------------------------------------------------------------------ *)
 
 let check_handcrafted label ops =
@@ -571,6 +584,10 @@ let suite =
     tc "crash smoke xv6" `Quick (crash_smoke Stacks.Bento);
     tc "crash smoke fuse" `Quick (crash_smoke Stacks.Fuse);
     tc "crash smoke ext4" `Quick (crash_smoke Stacks.Ext4);
+    tc "crash smoke ckernel" `Quick (crash_smoke Stacks.Ckernel);
+    tc "ckernel crash trace, seed 42" `Quick (ckernel_crash_trace 42);
+    tc "ckernel crash trace, seed 1" `Quick (ckernel_crash_trace 1);
+    tc "ckernel crash trace, seed 7" `Quick (ckernel_crash_trace 7);
     tc "rename crash atomicity" `Quick test_rename_crash_atomicity;
     tc "symlink crash behaviour" `Quick test_symlink_crash_behaviour;
     tc "mid-batch scatter crash" `Quick test_scatter_batch_crash;
