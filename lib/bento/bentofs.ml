@@ -118,7 +118,7 @@ let mount ?dirty_limit ?page_cap ?background ?wb_batch ?cas_blocks
       in
       let h =
         {
-          current = Fs_api.dispatch_of (module F) fs;
+          current = Fs_api.dispatch_of machine (module F) fs;
           dispatch_lock = Sim.Sync.Rwlock.create ();
           machine;
           bcache;

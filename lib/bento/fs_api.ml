@@ -88,10 +88,33 @@ end
     runs against — in the kernel (BentoKS) or at user level (§4.9). *)
 module type FS_MAKER = functor (_ : Bentoks.KSERVICES) -> FS
 
+let vfs_kind = function
+  | File -> Kernel.Vfs.Reg
+  | Directory -> Kernel.Vfs.Dir
+  | Symlink -> Kernel.Vfs.Symlink
+
+let vfs_stat a =
+  {
+    Kernel.Vfs.st_ino = a.a_ino;
+    st_kind = vfs_kind a.a_kind;
+    st_size = a.a_size;
+    st_nlink = a.a_nlink;
+  }
+
+let vfs_dirent de =
+  { Kernel.Vfs.d_name = de.name; d_ino = de.ino; d_kind = vfs_kind de.kind }
+
 (** The function-pointer table BentoFS stores for a mounted file system
     (§5.2: "function pointers to file system operations are stored in a data
     structure that is provided to Bento when the file system is mounted and
-    upgraded"). Built from an [FS] module by [dispatch_of]. *)
+    upgraded"). Built from an [FS] module by [dispatch_of].
+
+    All three xv6 stacks reach the VFS through {!vfs_ops} over one of
+    these. BentoFS and the C-kernel baseline bind [dispatch_of] in the
+    kernel; FUSE binds [Bento_user.remote], whose every field is one wire
+    round trip to [dispatch_of] in the daemon. [d_readdir_filter] runs the
+    pushdown filtered scan wherever the dispatch lives, so on FUSE the
+    whole scan costs one request. *)
 type dispatch = {
   d_name : string;
   d_version : int;
@@ -114,6 +137,8 @@ type dispatch = {
   d_fsync : ino:int -> unit res;
   d_sync : unit -> unit res;
   d_readdir : ino:int -> dentry list res;
+  d_readdir_filter :
+    ino:int -> prog:string -> (Kernel.Vfs.dirent * Kernel.Vfs.stat) list res;
   d_bmap : ino:int -> fbn:int -> int res;
   d_iopen : ino:int -> unit res;
   d_irelease : ino:int -> unit;
@@ -122,7 +147,8 @@ type dispatch = {
   d_destroy : unit -> unit;
 }
 
-let dispatch_of (type a) (module F : FS with type t = a) (fs : a) : dispatch =
+let dispatch_of (type a) (machine : Kernel.Machine.t)
+    (module F : FS with type t = a) (fs : a) : dispatch =
   {
     d_name = F.name;
     d_version = F.version;
@@ -146,6 +172,17 @@ let dispatch_of (type a) (module F : FS with type t = a) (fs : a) : dispatch =
     d_fsync = (fun ~ino -> F.fsync fs ~ino);
     d_sync = (fun () -> F.sync fs);
     d_readdir = (fun ~ino -> F.readdir fs ~ino);
+    d_readdir_filter =
+      (fun ~ino ~prog ->
+        (* The whole scan — readdir, filter, per-entry getattr — runs here,
+           next to the fs; the registered program decides which entries
+           survive. *)
+        Kernel.Pushdown.filter_dir
+          (Kernel.Pushdown.registry machine)
+          ~name:prog
+          ~readdir:(fun () ->
+            Result.map (List.map vfs_dirent) (F.readdir fs ~ino))
+          ~getattr:(fun ino -> Result.map vfs_stat (F.getattr fs ~ino)));
     d_bmap = (fun ~ino ~fbn -> F.bmap fs ~ino ~fbn);
     d_iopen = (fun ~ino -> F.iopen fs ~ino);
     d_irelease = (fun ~ino -> F.irelease fs ~ino);
@@ -153,22 +190,6 @@ let dispatch_of (type a) (module F : FS with type t = a) (fs : a) : dispatch =
     d_restore_state = (fun st -> F.restore_state fs st);
     d_destroy = (fun () -> F.destroy fs);
   }
-
-let vfs_kind = function
-  | File -> Kernel.Vfs.Reg
-  | Directory -> Kernel.Vfs.Dir
-  | Symlink -> Kernel.Vfs.Symlink
-
-let vfs_stat a =
-  {
-    Kernel.Vfs.st_ino = a.a_ino;
-    st_kind = vfs_kind a.a_kind;
-    st_size = a.a_size;
-    st_nlink = a.a_nlink;
-  }
-
-let vfs_dirent de =
-  { Kernel.Vfs.d_name = de.name; d_ino = de.ino; d_kind = vfs_kind de.kind }
 
 (** How a VFS call enters the file system: [call f] runs [f] against the
     dispatch table in force. BentoFS enters under its dispatch lock with a
@@ -227,16 +248,7 @@ let vfs_ops (machine : Kernel.Machine.t) ~(enter : string -> entry) ~fs_name
        fun ino -> e.call (fun d -> readdir d ~ino));
     readdir_filter =
       (let e = enter "readdir_filter" in
-       fun ino ~prog ->
-         (* The whole scan — readdir, filter, per-entry getattr — happens
-            in ONE call into the fs; the registered program decides which
-            entries survive. *)
-         e.call (fun d ->
-             Kernel.Pushdown.filter_dir
-               (Kernel.Pushdown.registry machine)
-               ~name:prog
-               ~readdir:(fun () -> readdir d ~ino)
-               ~getattr:(fun ino -> stat_of (d.d_getattr ~ino))));
+       fun ino ~prog -> e.call (fun d -> d.d_readdir_filter ~ino ~prog));
     bmap =
       (let e = enter "bmap" in
        fun ~ino ~fbn -> e.call (fun d -> d.d_bmap ~ino ~fbn));

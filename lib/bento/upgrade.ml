@@ -43,7 +43,7 @@ let upgrade (h : Bentofs.handle) (maker : (module Fs_api.FS_MAKER)) : report =
                   (Kernel.Errno.to_string e)))
       | Ok fs ->
           F.restore_state fs state;
-          h.Bentofs.current <- Fs_api.dispatch_of (module F) fs;
+          h.Bentofs.current <- Fs_api.dispatch_of machine (module F) fs;
           h.Bentofs.upgrades <- h.Bentofs.upgrades + 1;
           Kernel.Printk.info machine
             "bento: upgraded %s v%d -> v%d (%d open inodes transferred)"

@@ -9,8 +9,11 @@
     in both environments" debugging story, and simultaneously its FUSE
     performance baseline.
 
-    [mount] assembles the whole userspace stack: daemon fiber + FUSE kernel
-    driver + VFS mount. *)
+    The FUSE wire carries the file-operations API: [serve] answers a
+    request from the daemon's [Fs_api.dispatch], and [remote] is the
+    kernel-side dispatch whose every call is one round trip. [mount] binds
+    [remote] with the same [Fs_api.vfs_ops] translation as BentoFS and the
+    C-kernel baseline, so this stack differs from them only by the wire. *)
 
 exception Use_after_release = Bento.Bentoks.Use_after_release
 exception Double_release = Bento.Bentoks.Double_release
@@ -160,91 +163,204 @@ let user_services ?nblocks_cap (machine : Kernel.Machine.t)
     let pushdown = Kernel.Pushdown.registry machine
   end)
 
-(* Translate the Fs_api dispatch into the daemon handler table. [machine]
-   locates the pushdown registry the filtered-scan handler runs against. *)
-let handler_of machine (d : Bento.Fs_api.dispatch) : Fusesim.Daemon.handler =
-  let kind_code = function
-    | Bento.Fs_api.File -> 0
-    | Bento.Fs_api.Directory -> 1
-    | Bento.Fs_api.Symlink -> 2
-  in
-  let attr (a : Bento.Fs_api.attr) =
-    {
-      Fusesim.Proto.ino = a.Bento.Fs_api.a_ino;
-      kind = kind_code a.Bento.Fs_api.a_kind;
-      size = a.Bento.Fs_api.a_size;
-      nlink = a.Bento.Fs_api.a_nlink;
-    }
-  in
-  let amap = Result.map attr in
+(* --- the wire: the dispatch, carried as FUSE requests ---------------- *)
+
+module Api = Bento.Fs_api
+module Proto = Fusesim.Proto
+
+let max_write_pages = 32 (* 128 KB max_write, the libfuse default *)
+
+(* Wire kind codes: 0 = regular, 1 = directory, 2 = symlink. *)
+let kind_code = function
+  | Kernel.Vfs.Reg -> 0
+  | Kernel.Vfs.Dir -> 1
+  | Kernel.Vfs.Symlink -> 2
+
+let kind_of_code = function
+  | 1 -> Api.Directory
+  | 2 -> Api.Symlink
+  | _ -> Api.File
+
+let wire_attr (st : Kernel.Vfs.stat) =
   {
-    Fusesim.Daemon.h_lookup = (fun ~dir name -> amap (d.Bento.Fs_api.d_lookup ~dir name));
-    h_getattr = (fun ~ino -> amap (d.Bento.Fs_api.d_getattr ~ino));
-    h_create = (fun ~dir name -> amap (d.Bento.Fs_api.d_create ~dir name));
-    h_mkdir = (fun ~dir name -> amap (d.Bento.Fs_api.d_mkdir ~dir name));
-    h_unlink = (fun ~dir name -> d.Bento.Fs_api.d_unlink ~dir name);
-    h_rmdir = (fun ~dir name -> d.Bento.Fs_api.d_rmdir ~dir name);
-    h_rename =
-      (fun ~olddir ~oldname ~newdir ~newname ->
-        d.Bento.Fs_api.d_rename ~olddir ~oldname ~newdir ~newname);
-    h_link = (fun ~ino ~dir name -> amap (d.Bento.Fs_api.d_link ~ino ~dir name));
-    h_read = (fun ~ino ~off ~len -> d.Bento.Fs_api.d_read ~ino ~off ~len);
-    h_write = (fun ~ino ~off data -> d.Bento.Fs_api.d_write ~ino ~off data);
-    h_truncate = (fun ~ino ~size -> d.Bento.Fs_api.d_truncate ~ino ~size);
-    h_fsync = (fun ~ino -> d.Bento.Fs_api.d_fsync ~ino);
-    h_syncfs = (fun () -> d.Bento.Fs_api.d_sync ());
-    h_readdir =
-      (fun ~ino ->
-        Result.map
-          (List.map (fun de ->
-               ( de.Bento.Fs_api.name,
-                 de.Bento.Fs_api.ino,
-                 kind_code de.Bento.Fs_api.kind )))
-          (d.Bento.Fs_api.d_readdir ~ino));
-    h_readdir_filter =
-      (fun ~ino ~prog ->
-        (* Daemon-side pushdown: readdir, filter, and per-entry getattr all
-           happen here, below the wire — the kernel paid ONE round trip. *)
-        Result.map
-          (List.map (fun ((de : Kernel.Vfs.dirent), (st : Kernel.Vfs.stat)) ->
-               ( de.Kernel.Vfs.d_name,
-                 {
-                   Fusesim.Proto.ino = st.Kernel.Vfs.st_ino;
-                   kind =
-                     (match st.Kernel.Vfs.st_kind with
-                     | Kernel.Vfs.Reg -> 0
-                     | Kernel.Vfs.Dir -> 1
-                     | Kernel.Vfs.Symlink -> 2);
-                   size = st.Kernel.Vfs.st_size;
-                   nlink = st.Kernel.Vfs.st_nlink;
-                 } )))
-          (Kernel.Pushdown.filter_dir
-             (Kernel.Pushdown.registry machine)
-             ~name:prog
-             ~readdir:(fun () ->
-               Result.map
-                 (List.map Bento.Fs_api.vfs_dirent)
-                 (d.Bento.Fs_api.d_readdir ~ino))
-             ~getattr:(fun ino ->
-               Result.map Bento.Fs_api.vfs_stat (d.Bento.Fs_api.d_getattr ~ino))));
-    h_bmap = (fun ~ino ~fbn -> d.Bento.Fs_api.d_bmap ~ino ~fbn);
-    h_open = (fun ~ino -> d.Bento.Fs_api.d_iopen ~ino);
-    h_release = (fun ~ino -> d.Bento.Fs_api.d_irelease ~ino);
-    h_statfs =
+    Proto.ino = st.st_ino;
+    kind = kind_code st.st_kind;
+    size = st.st_size;
+    nlink = st.st_nlink;
+  }
+
+let api_attr (a : Proto.attr) =
+  {
+    Api.a_ino = a.ino;
+    a_kind = kind_of_code a.kind;
+    a_size = a.size;
+    a_nlink = a.nlink;
+  }
+
+let serve (d : Api.dispatch) (req : Proto.request) : Proto.reply =
+  let reply ok = function Ok v -> ok v | Error e -> Proto.R_err e in
+  let attr = reply (fun a -> Proto.R_attr (wire_attr (Api.vfs_stat a))) in
+  let unit = reply (fun () -> Proto.R_none) in
+  match req with
+  | Lookup { dir; name } -> attr (d.d_lookup ~dir name)
+  | Getattr { ino } -> attr (d.d_getattr ~ino)
+  | Create { dir; name } -> attr (d.d_create ~dir name)
+  | Mkdir { dir; name } -> attr (d.d_mkdir ~dir name)
+  | Unlink { dir; name } -> unit (d.d_unlink ~dir name)
+  | Rmdir { dir; name } -> unit (d.d_rmdir ~dir name)
+  | Rename { olddir; oldname; newdir; newname } ->
+      unit (d.d_rename ~olddir ~oldname ~newdir ~newname)
+  | Link { ino; dir; name } -> attr (d.d_link ~ino ~dir name)
+  | Symlink { dir; name; target } -> attr (d.d_symlink ~dir name ~target)
+  | Readlink { ino } -> reply (fun s -> Proto.R_target s) (d.d_readlink ~ino)
+  | Read { ino; off; len } ->
+      reply (fun data -> Proto.R_data data) (d.d_read ~ino ~off ~len)
+  | Write { ino; off; data } ->
+      reply (fun n -> Proto.R_written n) (d.d_write ~ino ~off data)
+  | Truncate { ino; size } -> unit (d.d_truncate ~ino ~size)
+  | Fsync { ino } -> unit (d.d_fsync ~ino)
+  | Syncfs -> unit (d.d_sync ())
+  | Readdir { ino } ->
+      reply
+        (fun des ->
+          Proto.R_dirents
+            (List.map
+               (fun (de : Api.dentry) ->
+                 (de.name, de.ino, kind_code (Api.vfs_kind de.kind)))
+               des))
+        (d.d_readdir ~ino)
+  | ReaddirFilter { dir; prog } ->
+      reply
+        (fun des ->
+          Proto.R_dirents_plus
+            (List.map
+               (fun ((de : Kernel.Vfs.dirent), st) -> (de.d_name, wire_attr st))
+               des))
+        (d.d_readdir_filter ~ino:dir ~prog)
+  | Bmap { ino; fbn } -> reply (fun n -> Proto.R_block n) (d.d_bmap ~ino ~fbn)
+  | Open { ino } -> unit (d.d_iopen ~ino)
+  | Release { ino } ->
+      d.d_irelease ~ino;
+      Proto.R_none
+  | Statfs ->
+      let s = d.d_statfs () in
+      Proto.R_statfs
+        {
+          blocks = s.s_blocks;
+          bfree = s.s_bfree;
+          files = s.s_files;
+          ffree = s.s_ffree;
+        }
+  | Destroy ->
+      d.d_destroy ();
+      Proto.R_none
+
+let remote (transport : Fusesim.Transport.t) (served : Api.dispatch) :
+    Api.dispatch =
+  let call = Fusesim.Transport.call transport in
+  let fail = function
+    | Proto.R_err e -> Error e
+    | _ -> Error Kernel.Errno.EIO (* protocol confusion *)
+  in
+  let attr req =
+    match call req with Proto.R_attr a -> Ok (api_attr a) | r -> fail r
+  in
+  let unit req = match call req with Proto.R_none -> Ok () | r -> fail r in
+  let not_upgradable _ =
+    invalid_arg "Bento_user.remote: only a BentoFS handle can be upgraded"
+  in
+  {
+    d_name = served.d_name;
+    d_version = served.d_version;
+    d_max_file_size = served.d_max_file_size;
+    d_statfs =
       (fun () ->
-        let s = d.Bento.Fs_api.d_statfs () in
-        ( s.Bento.Fs_api.s_blocks,
-          s.Bento.Fs_api.s_bfree,
-          s.Bento.Fs_api.s_files,
-          s.Bento.Fs_api.s_ffree ));
-    h_symlink =
-      (fun ~dir name ~target -> amap (d.Bento.Fs_api.d_symlink ~dir name ~target));
-    h_readlink = (fun ~ino -> d.Bento.Fs_api.d_readlink ~ino);
-    h_destroy = (fun () -> d.Bento.Fs_api.d_destroy ());
+        match call Statfs with
+        | Proto.R_statfs { blocks; bfree; files; ffree } ->
+            {
+              s_blocks = blocks;
+              s_bfree = bfree;
+              s_files = files;
+              s_ffree = ffree;
+            }
+        | _ -> { s_blocks = 0; s_bfree = 0; s_files = 0; s_ffree = 0 });
+    d_getattr = (fun ~ino -> attr (Getattr { ino }));
+    d_lookup = (fun ~dir name -> attr (Lookup { dir; name }));
+    d_create = (fun ~dir name -> attr (Create { dir; name }));
+    d_mkdir = (fun ~dir name -> attr (Mkdir { dir; name }));
+    d_unlink = (fun ~dir name -> unit (Unlink { dir; name }));
+    d_rmdir = (fun ~dir name -> unit (Rmdir { dir; name }));
+    d_rename =
+      (fun ~olddir ~oldname ~newdir ~newname ->
+        unit (Rename { olddir; oldname; newdir; newname }));
+    d_link = (fun ~ino ~dir name -> attr (Link { ino; dir; name }));
+    d_symlink = (fun ~dir name ~target -> attr (Symlink { dir; name; target }));
+    d_readlink =
+      (fun ~ino ->
+        match call (Readlink { ino }) with
+        | Proto.R_target s -> Ok s
+        | r -> fail r);
+    d_read =
+      (fun ~ino ~off ~len ->
+        match call (Read { ino; off; len }) with
+        | Proto.R_data data -> Ok data
+        | r -> fail r);
+    d_write =
+      (fun ~ino ~off data ->
+        match call (Write { ino; off; data }) with
+        | Proto.R_written n -> Ok n
+        | r -> fail r);
+    d_truncate = (fun ~ino ~size -> unit (Truncate { ino; size }));
+    d_fsync = (fun ~ino -> unit (Fsync { ino }));
+    d_sync = (fun () -> unit Syncfs);
+    d_readdir =
+      (fun ~ino ->
+        match call (Readdir { ino }) with
+        | Proto.R_dirents des ->
+            Ok
+              (List.map
+                 (fun (name, ino, kind) ->
+                   { Api.name; ino; kind = kind_of_code kind })
+                 des)
+        | r -> fail r);
+    d_readdir_filter =
+      (fun ~ino ~prog ->
+        (* One round trip however many entries the directory holds: the
+           daemon runs the program and ships back only the survivors, each
+           with its attributes. *)
+        match call (ReaddirFilter { dir = ino; prog }) with
+        | Proto.R_dirents_plus des ->
+            Ok
+              (List.map
+                 (fun (name, a) ->
+                   let st = Api.vfs_stat (api_attr a) in
+                   ( {
+                       Kernel.Vfs.d_name = name;
+                       d_ino = st.st_ino;
+                       d_kind = st.st_kind;
+                     },
+                     st ))
+                 des)
+        | r -> fail r);
+    d_bmap =
+      (fun ~ino ~fbn ->
+        match call (Bmap { ino; fbn }) with
+        | Proto.R_block n -> Ok n
+        | r -> fail r);
+    d_iopen = (fun ~ino -> unit (Open { ino }));
+    d_irelease = (fun ~ino -> ignore (call (Release { ino })));
+    d_extract_state = not_upgradable;
+    d_restore_state = not_upgradable;
+    d_destroy =
+      (fun () ->
+        (match call Destroy with
+        | _ -> ()
+        | exception Fusesim.Transport.Connection_closed -> ());
+        Fusesim.Transport.close transport);
   }
 
 type mount_handle = {
-  driver : Fusesim.Driver.t;
+  remote : Bento.Fs_api.dispatch;
   transport : Fusesim.Transport.t;
   ubcache : Fusesim.Ubcache.t;
   cas : Kernel.Cas.t option;
@@ -253,7 +369,7 @@ type mount_handle = {
 (* CAS block access on this stack goes through the daemon's user bcache
    raw path (uncached pread/pwrite on the disk file): the shared-page
    table is the only cache, same dedup-aware admission as the kernel
-   stack. The wire crossing per *open* is still paid by the VFS driver —
+   stack. The wire crossing per *open* is still paid on the kernel side —
    the CAS saves device I/O, not FUSE round-trips. *)
 let cas_backend machine ubc =
   {
@@ -302,8 +418,7 @@ let mount ?dirty_limit ?page_cap ?background ?nominal_gb ?cas_blocks
             Kernel.Cas.register machine store;
             Some store
       in
-      let dispatch = Bento.Fs_api.dispatch_of (module F) fs in
-      let handler = handler_of machine dispatch in
+      let served = Bento.Fs_api.dispatch_of machine (module F) fs in
       (* Pushdown walks on this stack read through the daemon's user-level
          buffer cache — below the syscall layer AND below the wire, so a
          chase costs zero FUSE round trips and repeats run warm. *)
@@ -317,17 +432,19 @@ let mount ?dirty_limit ?page_cap ?background ?nominal_gb ?cas_blocks
           d);
       let transport = Fusesim.Transport.create machine in
       Kernel.Machine.spawn ~name:"fuse-daemon" machine (fun () ->
-          Fusesim.Daemon.run transport handler);
-      let driver = Fusesim.Driver.create machine transport in
+          Fusesim.Daemon.run transport (serve served));
+      let remote = remote transport served in
       let ops =
-        Fusesim.Driver.vfs_ops driver
-          ~max_file_size:dispatch.Bento.Fs_api.d_max_file_size
+        Bento.Fs_api.vfs_ops machine
+          ~enter:(fun _ -> { Bento.Fs_api.call = (fun f -> f remote) })
+          ~fs_name:"fuse" ~wb_batch:max_write_pages
+          ~max_file_size:remote.d_max_file_size
       in
       let vfs = Kernel.Vfs.mount ?dirty_limit ?page_cap ?background machine ops in
       Option.iter
         (fun store -> Kernel.Vfs.set_cas vfs (Some (Kernel.Cas.vfs_hooks store)))
         cas;
-      Ok (vfs, { driver; transport; ubcache = ubc; cas })
+      Ok (vfs, { remote; transport; ubcache = ubc; cas })
 
 (** Unmount: flush the VFS (through the wire), destroy the daemon-side fs,
     close the connection, empty the daemon's buffer cache. *)
@@ -336,5 +453,5 @@ let unmount (vfs : Kernel.Vfs.t) (h : mount_handle) =
   (match h.cas with
   | Some _ -> Kernel.Cas.unregister (Kernel.Vfs.machine vfs)
   | None -> ());
-  Fusesim.Driver.shutdown h.driver;
+  h.remote.d_destroy ();
   Fusesim.Ubcache.invalidate h.ubcache

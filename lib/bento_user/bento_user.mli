@@ -7,7 +7,13 @@
     durability barrier. Because a Bento file system is a functor over its
     services, the same fs code that runs in the kernel under BentoFS runs
     here behind the simulated FUSE transport, and both runtimes read the
-    same disk image. *)
+    same disk image.
+
+    The wire carries the file-operations API itself: [serve] answers each
+    request from the daemon's dispatch, and [remote] is a dispatch whose
+    every call is one round trip. [mount] binds [remote] with the shared
+    {!Bento.Fs_api.vfs_ops}, the translation BentoFS and the C-kernel
+    baseline use, so the FUSE stack differs from them only by the wire. *)
 
 exception Use_after_release of string
 exception Double_release of string
@@ -20,14 +26,20 @@ val user_services :
 (** [nblocks_cap] caps the device size the fs sees, reserving the tail
     for a {!Kernel.Cas} region. *)
 
-val handler_of :
-  Kernel.Machine.t -> Bento.Fs_api.dispatch -> Fusesim.Daemon.handler
-(** Expose a mounted fs's dispatch table as a FUSE daemon handler. The
-    machine locates the {!Kernel.Pushdown} registry the daemon-side
-    filtered-scan handler runs against. *)
+val serve :
+  Bento.Fs_api.dispatch -> Fusesim.Proto.request -> Fusesim.Proto.reply
+(** Daemon side: answer one request by calling the dispatch. *)
+
+val remote :
+  Fusesim.Transport.t -> Bento.Fs_api.dispatch -> Bento.Fs_api.dispatch
+(** Kernel side: [remote transport served] sends each call as one request
+    to a daemon that [serve]s [served]. Name, version and maximum file
+    size are copied from [served]. [d_destroy] sends DESTROY and closes
+    the connection. [d_extract_state] and [d_restore_state] raise
+    [Invalid_argument]: only a BentoFS handle can be upgraded. *)
 
 type mount_handle = {
-  driver : Fusesim.Driver.t;
+  remote : Bento.Fs_api.dispatch;  (** the kernel side of the wire *)
   transport : Fusesim.Transport.t;
   ubcache : Fusesim.Ubcache.t;
   cas : Kernel.Cas.t option;
@@ -43,7 +55,9 @@ val mount :
   (module Bento.Fs_api.FS_MAKER) ->
   (Kernel.Vfs.t * mount_handle, Kernel.Errno.t) result
 (** Assemble the whole userspace stack: instantiate the fs against user
-    services, start the daemon fiber, mount the FUSE driver on the VFS.
+    services, start the daemon fiber serving its dispatch, and mount
+    [remote] on the VFS through {!Bento.Fs_api.vfs_ops} (plain calls,
+    [fs_name "fuse"], at most 32 pages = 128 KB per WRITE).
     [nominal_gb] sizes the disk file whose mapping fsync walks (default
     512, the paper's). [cas_blocks > 0] reserves the device tail for a
     {!Kernel.Cas} store backed by the daemon's raw (uncached) disk-file

@@ -1,97 +1,10 @@
 (** The userspace FUSE daemon: a single-threaded loop (like libfuse's
-    default session loop) that decodes requests, dispatches them to the
-    user file system's handler table, and sends encoded replies. *)
-
-type handler = {
-  h_lookup : dir:int -> string -> (Proto.attr, Kernel.Errno.t) result;
-  h_getattr : ino:int -> (Proto.attr, Kernel.Errno.t) result;
-  h_create : dir:int -> string -> (Proto.attr, Kernel.Errno.t) result;
-  h_mkdir : dir:int -> string -> (Proto.attr, Kernel.Errno.t) result;
-  h_unlink : dir:int -> string -> (unit, Kernel.Errno.t) result;
-  h_rmdir : dir:int -> string -> (unit, Kernel.Errno.t) result;
-  h_rename :
-    olddir:int ->
-    oldname:string ->
-    newdir:int ->
-    newname:string ->
-    (unit, Kernel.Errno.t) result;
-  h_link : ino:int -> dir:int -> string -> (Proto.attr, Kernel.Errno.t) result;
-  h_read : ino:int -> off:int -> len:int -> (Bytes.t, Kernel.Errno.t) result;
-  h_write : ino:int -> off:int -> Bytes.t -> (int, Kernel.Errno.t) result;
-  h_truncate : ino:int -> size:int -> (unit, Kernel.Errno.t) result;
-  h_fsync : ino:int -> (unit, Kernel.Errno.t) result;
-  h_syncfs : unit -> (unit, Kernel.Errno.t) result;
-  h_readdir : ino:int -> ((string * int * int) list, Kernel.Errno.t) result;
-  h_readdir_filter :
-    ino:int -> prog:string -> ((string * Proto.attr) list, Kernel.Errno.t) result;
-  h_bmap : ino:int -> fbn:int -> (int, Kernel.Errno.t) result;
-  h_open : ino:int -> (unit, Kernel.Errno.t) result;
-  h_release : ino:int -> unit;
-  h_statfs : unit -> int * int * int * int;  (** blocks, bfree, files, ffree *)
-  h_symlink :
-    dir:int -> string -> target:string -> (Proto.attr, Kernel.Errno.t) result;
-  h_readlink : ino:int -> (string, Kernel.Errno.t) result;
-  h_destroy : unit -> unit;
-}
-
-let dispatch (h : handler) (req : Proto.request) : Proto.reply =
-  let attr_reply = function
-    | Ok a -> Proto.R_attr a
-    | Error e -> Proto.R_err e
-  in
-  let unit_reply = function Ok () -> Proto.R_none | Error e -> Proto.R_err e in
-  match req with
-  | Proto.Lookup { dir; name } -> attr_reply (h.h_lookup ~dir name)
-  | Proto.Getattr { ino } -> attr_reply (h.h_getattr ~ino)
-  | Proto.Create { dir; name } -> attr_reply (h.h_create ~dir name)
-  | Proto.Mkdir { dir; name } -> attr_reply (h.h_mkdir ~dir name)
-  | Proto.Unlink { dir; name } -> unit_reply (h.h_unlink ~dir name)
-  | Proto.Rmdir { dir; name } -> unit_reply (h.h_rmdir ~dir name)
-  | Proto.Rename { olddir; oldname; newdir; newname } ->
-      unit_reply (h.h_rename ~olddir ~oldname ~newdir ~newname)
-  | Proto.Link { ino; dir; name } -> attr_reply (h.h_link ~ino ~dir name)
-  | Proto.Read { ino; off; len } -> (
-      match h.h_read ~ino ~off ~len with
-      | Ok d -> Proto.R_data d
-      | Error e -> Proto.R_err e)
-  | Proto.Write { ino; off; data } -> (
-      match h.h_write ~ino ~off data with
-      | Ok n -> Proto.R_written n
-      | Error e -> Proto.R_err e)
-  | Proto.Truncate { ino; size } -> unit_reply (h.h_truncate ~ino ~size)
-  | Proto.Fsync { ino } -> unit_reply (h.h_fsync ~ino)
-  | Proto.Syncfs -> unit_reply (h.h_syncfs ())
-  | Proto.Readdir { ino } -> (
-      match h.h_readdir ~ino with
-      | Ok des -> Proto.R_dirents des
-      | Error e -> Proto.R_err e)
-  | Proto.ReaddirFilter { dir; prog } -> (
-      match h.h_readdir_filter ~ino:dir ~prog with
-      | Ok des -> Proto.R_dirents_plus des
-      | Error e -> Proto.R_err e)
-  | Proto.Bmap { ino; fbn } -> (
-      match h.h_bmap ~ino ~fbn with
-      | Ok n -> Proto.R_block n
-      | Error e -> Proto.R_err e)
-  | Proto.Open { ino } -> unit_reply (h.h_open ~ino)
-  | Proto.Release { ino } ->
-      h.h_release ~ino;
-      Proto.R_none
-  | Proto.Statfs ->
-      let blocks, bfree, files, ffree = h.h_statfs () in
-      Proto.R_statfs { blocks; bfree; files; ffree }
-  | Proto.Symlink { dir; name; target } -> attr_reply (h.h_symlink ~dir name ~target)
-  | Proto.Readlink { ino } -> (
-      match h.h_readlink ~ino with
-      | Ok t -> Proto.R_target t
-      | Error e -> Proto.R_err e)
-  | Proto.Destroy ->
-      h.h_destroy ();
-      Proto.R_none
+    default session loop) that decodes each request, answers it with the
+    user file system's [serve] function, and sends the encoded reply. *)
 
 (** The daemon main loop; run it in its own fiber. Returns when the
     connection closes or after replying to [Destroy]. *)
-let run (transport : Transport.t) (h : handler) =
+let run (transport : Transport.t) (serve : Proto.request -> Proto.reply) =
   let machine = Transport.machine transport in
   let rec loop () =
     match Transport.next transport with
@@ -103,7 +16,7 @@ let run (transport : Transport.t) (h : handler) =
             (* Request processing is file-system work: the daemon runs the
                fs functor over user-level services. *)
             let reply =
-              Kernel.Machine.with_layer machine "fs" (fun () -> dispatch h req)
+              Kernel.Machine.with_layer machine "fs" (fun () -> serve req)
             in
             Transport.reply transport ~unique reply;
             (* libfuse exits its session loop after DESTROY *)

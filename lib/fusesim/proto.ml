@@ -73,66 +73,9 @@ let opcode = function
   | ReaddirFilter _ -> 21
   | Bmap _ -> 22
 
-exception Malformed of string
+exception Malformed = Util.Wire.Malformed
 
-(* --- little builders over a Buffer ------------------------------- *)
-
-let add_u16 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
-
-let add_u64 b v =
-  let x = Bytes.create 8 in
-  Bytes.set_int64_le x 0 (Int64.of_int v);
-  Buffer.add_bytes b x
-
-let add_str b s =
-  add_u16 b (String.length s);
-  Buffer.add_string b s
-
-let add_bytes b d =
-  add_u64 b (Bytes.length d);
-  Buffer.add_bytes b d
-
-type cursor = { buf : Bytes.t; mutable pos : int }
-
-let need c n =
-  if c.pos + n > Bytes.length c.buf then raise (Malformed "short message")
-
-let get_u16 c =
-  need c 2;
-  let v = Util.Bytesio.get_u16 c.buf c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let get_u64 c =
-  need c 8;
-  let v =
-    try Util.Bytesio.get_int64_as_int c.buf c.pos
-    with Invalid_argument _ -> raise (Malformed "u64 out of range")
-  in
-  c.pos <- c.pos + 8;
-  v
-
-let get_i32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.buf c.pos) in
-  c.pos <- c.pos + 4;
-  v
-
-let get_str c =
-  let n = get_u16 c in
-  need c n;
-  let s = Bytes.sub_string c.buf c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_data c =
-  let n = get_u64 c in
-  need c n;
-  let d = Bytes.sub c.buf c.pos n in
-  c.pos <- c.pos + n;
-  d
+open Util.Wire
 
 (* --- requests ------------------------------------------------------ *)
 
@@ -186,7 +129,7 @@ let encode_request ~unique (r : request) : Bytes.t =
   Buffer.to_bytes b
 
 let decode_request (m : Bytes.t) : int * request =
-  let c = { buf = m; pos = 0 } in
+  let c = cursor m in
   let op = get_u16 c in
   let unique = get_u64 c in
   let req =
@@ -280,9 +223,7 @@ let encode_reply ~unique (r : reply) : Bytes.t =
     | R_dirents_plus _ -> (0, 8)
     | R_block _ -> (0, 9)
   in
-  let x = Bytes.create 4 in
-  Bytes.set_int32_le x 0 (Int32.of_int err);
-  Buffer.add_bytes b x;
+  add_i32 b err;
   add_u16 b tag;
   (match r with
   | R_err _ | R_none -> ()
@@ -314,7 +255,7 @@ let encode_reply ~unique (r : reply) : Bytes.t =
   Buffer.to_bytes b
 
 let decode_reply (m : Bytes.t) : int * reply =
-  let c = { buf = m; pos = 0 } in
+  let c = cursor m in
   let unique = get_u64 c in
   let err = get_i32 c in
   let tag = get_u16 c in

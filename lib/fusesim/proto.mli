@@ -48,7 +48,8 @@ type reply =
   | R_block of int  (** bmap result (0 = hole) *)
 
 exception Malformed of string
-(** Raised by the decoders on truncated or corrupt messages. *)
+(** Raised by the decoders on truncated or corrupt messages; the same
+    exception as {!Util.Wire.Malformed}. *)
 
 val opcode : request -> int
 val encode_request : unique:int -> request -> Bytes.t

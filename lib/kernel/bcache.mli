@@ -36,6 +36,7 @@ val create : ?capacity:int -> ?shards:int -> Machine.t -> t
 val stats : t -> Sim.Stats.t
 (** Whole-cache statistics: the per-shard counters merged by name,
     refreshed on every call. *)
+
 val block_size : t -> int
 
 val bread : t -> int -> buf

@@ -68,7 +68,7 @@ type fs_ops = {
 (** Wrap every entry point of an ops table in a profiler layer frame, so
     in-kernel file systems registered directly with the VFS (C xv6, ext4)
     attribute their time to [layer] without sprinkling probes over every
-    operation. (BentoFS and the FUSE driver have their own dispatch
+    operation. (BentoFS and the FUSE daemon have their own dispatch
     funnels and frame there instead.) *)
 let profiled_ops machine layer (ops : fs_ops) : fs_ops =
   let lay f = Machine.with_layer machine layer f in

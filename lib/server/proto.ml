@@ -97,79 +97,11 @@ let request_name = function
   | Pushdown_get _ -> "pushdown_get"
   | Detach -> "detach"
 
-exception Malformed of string
-(* internal only: the public decoders catch it and return [Error _] *)
-
-(* --- little builders over a Buffer ------------------------------- *)
-
-let add_u16 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
-
-let add_u64 b v =
-  let x = Bytes.create 8 in
-  Bytes.set_int64_le x 0 (Int64.of_int v);
-  Buffer.add_bytes b x
-
-let add_str b s =
-  add_u16 b (String.length s);
-  Buffer.add_string b s
-
-let add_bytes b d =
-  add_u64 b (Bytes.length d);
-  Buffer.add_bytes b d
+(* The shared codec; its [Malformed] stays internal, because the public
+   decoders catch it and return [Error _]. *)
+open Util.Wire
 
 let add_bool b v = add_u16 b (if v then 1 else 0)
-
-type cursor = { buf : Bytes.t; mutable pos : int }
-
-let need c n =
-  if n < 0 || c.pos + n > Bytes.length c.buf then
-    raise (Malformed "short message")
-
-let get_u16 c =
-  need c 2;
-  let v = Util.Bytesio.get_u16 c.buf c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let get_u64 c =
-  need c 8;
-  let v =
-    try Util.Bytesio.get_int64_as_int c.buf c.pos
-    with Invalid_argument _ -> raise (Malformed "u64 out of range")
-  in
-  c.pos <- c.pos + 8;
-  if v < 0 then raise (Malformed "negative u64");
-  v
-
-let get_i32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.buf c.pos) in
-  c.pos <- c.pos + 4;
-  v
-
-(* raw 64-bit value — pushdown keys use the full int64 range *)
-let get_i64 c =
-  need c 8;
-  let v = Bytes.get_int64_le c.buf c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let get_str c =
-  let n = get_u16 c in
-  need c n;
-  let s = Bytes.sub_string c.buf c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_data c =
-  let n = get_u64 c in
-  need c n;
-  let d = Bytes.sub c.buf c.pos n in
-  c.pos <- c.pos + n;
-  d
-
 let get_bool c = get_u16 c <> 0
 
 (* --- requests ------------------------------------------------------ *)
@@ -210,14 +142,12 @@ let encode_request ~xid (r : request) : Bytes.t =
       add_str b prog
   | Pushdown_get { prog; key } ->
       add_str b prog;
-      let x = Bytes.create 8 in
-      Bytes.set_int64_le x 0 key;
-      Buffer.add_bytes b x
+      add_i64 b key
   | Detach -> ());
   Buffer.to_bytes b
 
 let decode_request_exn (m : Bytes.t) : int * request =
-  let c = { buf = m; pos = 0 } in
+  let c = cursor m in
   let op = get_u16 c in
   let xid = get_u64 c in
   let req =
@@ -268,7 +198,6 @@ let decode_request (m : Bytes.t) : (int * request, string) result =
   match decode_request_exn m with
   | v -> Ok v
   | exception Malformed why -> Error why
-  | exception Invalid_argument why -> Error why
 
 (* --- server messages ----------------------------------------------- *)
 
@@ -316,9 +245,7 @@ let encode_smsg (m : smsg) : Bytes.t =
         | R_dirents_plus _ -> (0, 7)
         | R_value _ -> (0, 8)
       in
-      let x = Bytes.create 4 in
-      Bytes.set_int32_le x 0 (Int32.of_int err);
-      Buffer.add_bytes b x;
+      add_i32 b err;
       add_u16 b tag;
       (match reply with
       | R_err _ | R_ok -> ()
@@ -351,7 +278,7 @@ let encode_smsg (m : smsg) : Bytes.t =
   Buffer.to_bytes b
 
 let decode_smsg_exn (m : Bytes.t) : smsg =
-  let c = { buf = m; pos = 0 } in
+  let c = cursor m in
   match get_u16 c with
   | 2 -> Recall { ino = get_u64 c }
   | 1 ->
@@ -378,7 +305,7 @@ let decode_smsg_exn (m : Bytes.t) : smsg =
               R_write { count; wattr = get_attr c }
           | 6 ->
               let n = get_u64 c in
-              if n > Bytes.length c.buf then raise (Malformed "dirent count");
+              if n > remaining c then raise (Malformed "dirent count");
               R_dirents
                 (List.init n (fun _ ->
                      let name = get_str c in
@@ -387,7 +314,7 @@ let decode_smsg_exn (m : Bytes.t) : smsg =
                      (name, ino, kind)))
           | 7 ->
               let n = get_u64 c in
-              if n > Bytes.length c.buf then raise (Malformed "dirent count");
+              if n > remaining c then raise (Malformed "dirent count");
               R_dirents_plus
                 (List.init n (fun _ ->
                      let name = get_str c in
@@ -402,4 +329,3 @@ let decode_smsg (m : Bytes.t) : (smsg, string) result =
   match decode_smsg_exn m with
   | v -> Ok v
   | exception Malformed why -> Error why
-  | exception Invalid_argument why -> Error why

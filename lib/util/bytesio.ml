@@ -1,6 +1,6 @@
 (** Little-endian fixed-width accessors over [Bytes.t], shared by the xv6
-    and ext4 on-disk layouts and the FUSE wire protocol. All bounds errors
-    raise [Invalid_argument] via the underlying [Bytes] primitives. *)
+    and ext4 on-disk layouts. All bounds errors raise [Invalid_argument]
+    via the underlying [Bytes] primitives. *)
 
 let get_u8 b off = Char.code (Bytes.get b off)
 let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xff))

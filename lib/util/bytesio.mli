@@ -1,6 +1,6 @@
 (** Little-endian fixed-width accessors over [Bytes.t], shared by the xv6
-    and ext4 on-disk layouts and the FUSE wire protocol. Bounds errors
-    raise [Invalid_argument]. *)
+    and ext4 on-disk layouts (the wire protocols use {!Wire}). Bounds
+    errors raise [Invalid_argument]. *)
 
 val get_u8 : Bytes.t -> int -> int
 val set_u8 : Bytes.t -> int -> int -> unit

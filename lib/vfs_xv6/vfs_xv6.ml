@@ -70,7 +70,7 @@ let mount ?dirty_limit ?background machine =
   match F.mount () with
   | Error _ as e -> e
   | Ok fs ->
-      let d = Bento.Fs_api.dispatch_of (module F) fs in
+      let d = Bento.Fs_api.dispatch_of machine (module F) fs in
       let ops =
         Bento.Fs_api.vfs_ops machine
           ~enter:(fun _ -> { Bento.Fs_api.call = (fun f -> f d) })

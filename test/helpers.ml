@@ -37,6 +37,13 @@ let with_stack ?disk_blocks k f =
       f os;
       unmount ())
 
+(** Requests the kernel side has sent over a FUSE mount's wire so far. *)
+let fuse_requests (h : Bento_user.mount_handle) =
+  Sim.Stats.Counter.get_int
+    (Sim.Stats.counter
+       (Fusesim.Transport.stats h.Bento_user.transport)
+       "requests")
+
 let bytes_of_string = Bytes.of_string
 
 (** Deterministic pseudo-random payload of [n] bytes. *)

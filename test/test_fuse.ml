@@ -5,13 +5,15 @@ open Helpers
 
 let tc = Alcotest.test_case
 
-let with_fuse ?disk_blocks f =
+let with_fuse_handle ?disk_blocks f =
   in_sim ?disk_blocks (fun machine ->
       ok (Bento.Bentofs.mkfs machine xv6_maker);
       let vfs, h = ok (Bento_user.mount ~background:false machine xv6_maker) in
-      let os = Kernel.Os.create vfs in
-      f machine os vfs;
+      f machine (Kernel.Os.create vfs) vfs h;
       Bento_user.unmount vfs h)
+
+let with_fuse ?disk_blocks f =
+  with_fuse_handle ?disk_blocks (fun machine os vfs _ -> f machine os vfs)
 
 let read_str os path = Bytes.to_string (ok (Kernel.Os.read_file os path))
 
@@ -131,6 +133,42 @@ let test_transport_closed_rejects () =
       | Error _ -> ()
       | exception Fusesim.Transport.Connection_closed -> ())
 
+(* ------------------------------------------------------------------ *)
+(* The wire shape: exactly how many requests the kernel side sends, so  *)
+(* the VFS binding cannot quietly change what FUSE pays per operation.  *)
+
+let mb = 256 (* pages *)
+
+let test_writeback_requests () =
+  with_fuse_handle (fun _m os _ h ->
+      let fd = ok (Kernel.Os.open_ os "/big" Kernel.Os.(creat wronly)) in
+      let _ = ok (Kernel.Os.write os fd (payload (mb * 4096))) in
+      let before = fuse_requests h in
+      ok (Kernel.Os.fsync os fd);
+      (* 256 dirty pages go out as 8 WRITEs of 32 pages (128 KB, the
+         max_write), then one FSYNC. *)
+      Alcotest.(check int)
+        "requests per 1 MB fsync" 9
+        (fuse_requests h - before);
+      ok (Kernel.Os.close os fd))
+
+let test_readahead_requests () =
+  with_fuse_handle (fun _m os vfs h ->
+      ok (Kernel.Os.write_file os "/seq" (payload (mb * 4096)));
+      ok (Kernel.Os.sync os);
+      ok (Kernel.Vfs.drop_caches vfs);
+      let fd = ok (Kernel.Os.open_ os "/seq" Kernel.Os.rdonly) in
+      let before = fuse_requests h in
+      for i = 0 to mb - 1 do
+        ignore (ok (Kernel.Os.pread os fd ~pos:(i * 4096) ~len:4096))
+      done;
+      (* One READ for the first fault, then one per readahead window:
+         4, 8 and 16 pages, seven of 32 pages (128 KB), and the 3-page
+         tail. *)
+      Alcotest.(check int) "requests per cold 1 MB read" 12
+        (fuse_requests h - before);
+      ok (Kernel.Os.close os fd))
+
 let suite =
   [
     tc "basic ops over fuse" `Quick test_basic;
@@ -141,4 +179,6 @@ let suite =
     tc "many files" `Quick test_many_files_via_fuse;
     tc "concurrent request correlation" `Quick test_concurrent_requests_correlate;
     tc "closed transport rejects" `Quick test_transport_closed_rejects;
+    tc "1 MB writeback: 128 KB WRITEs" `Quick test_writeback_requests;
+    tc "cold read: one READ per window" `Quick test_readahead_requests;
   ]

@@ -114,13 +114,42 @@ let prop_reply_roundtrip =
       in
       u = unique && reply_eq rep rep')
 
+(* Every bad frame must raise [Malformed], the one exception the daemon
+   loop catches. A length field near [max_int] must not overflow the
+   bounds check into an [Invalid_argument] from [Bytes.sub]. *)
 let test_malformed () =
-  (match Fusesim.Proto.decode_request (Bytes.make 1 '\255') with
-  | exception Fusesim.Proto.Malformed _ -> ()
-  | _ -> Alcotest.fail "short message accepted");
-  match Fusesim.Proto.decode_request (Bytes.make 32 '\255') with
-  | exception Fusesim.Proto.Malformed _ -> ()
-  | _ -> Alcotest.fail "garbage opcode accepted"
+  let rejects what decode =
+    match decode () with
+    | exception Fusesim.Proto.Malformed _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: %s instead of Malformed" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  rejects "short message" (fun () ->
+      Fusesim.Proto.decode_request (Bytes.make 1 '\255'));
+  rejects "garbage opcode" (fun () ->
+      Fusesim.Proto.decode_request (Bytes.make 32 '\255'));
+  let with_length msg n =
+    let m = Bytes.copy msg in
+    Bytes.set_int64_le m (Bytes.length m - 8) (Int64.of_int n);
+    m
+  in
+  let write =
+    Fusesim.Proto.encode_request ~unique:1
+      (Fusesim.Proto.Write { ino = 2; off = 0; data = Bytes.empty })
+  in
+  let data =
+    Fusesim.Proto.encode_reply ~unique:1 (Fusesim.Proto.R_data Bytes.empty)
+  in
+  List.iter
+    (fun n ->
+      rejects
+        (Printf.sprintf "WRITE of %d bytes" n)
+        (fun () -> Fusesim.Proto.decode_request (with_length write n));
+      rejects
+        (Printf.sprintf "R_data of %d bytes" n)
+        (fun () -> Fusesim.Proto.decode_reply (with_length data n)))
+    [ max_int - 3; max_int; 1 ]
 
 let suite =
   [

@@ -12,7 +12,7 @@ let with_fuse ?disk_blocks f =
       ok (Bento.Bentofs.mkfs machine xv6_maker);
       let vfs, h = ok (Bento_user.mount ~background:false machine xv6_maker) in
       let os = Kernel.Os.create vfs in
-      f machine os;
+      f machine os h;
       Bento_user.unmount vfs h)
 
 let fanout_bits = Workloads.Pushdown_bench.walk_fanout_bits
@@ -165,7 +165,7 @@ let test_crossings_bento () =
   with_xv6 (fun machine os _vfs _h -> check_walk_crossings machine os)
 
 let test_crossings_fuse () =
-  with_fuse (fun machine os -> check_walk_crossings machine os)
+  with_fuse (fun machine os _ -> check_walk_crossings machine os)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded equivalence: pushdown ≡ the plain multi-call path.           *)
@@ -173,7 +173,9 @@ let test_crossings_fuse () =
 let row ((d : Kernel.Vfs.dirent), (st : Kernel.Vfs.stat)) =
   (d.d_name, d.d_ino, st.st_ino, st.st_size)
 
-let check_filter_equivalence machine os seed =
+(* [requests], when given, counts the wire requests of a FUSE mount: the
+   pushed-down scan must cost exactly one, whatever the entry count. *)
+let check_filter_equivalence ?requests machine os seed =
       let rng = Sim.Rng.create seed in
       ok (Kernel.Os.mkdir os "/d");
       let pat = "log" in
@@ -202,10 +204,16 @@ let check_filter_equivalence machine os seed =
                else None)
         |> List.sort compare
       in
+      let sent = Option.value requests ~default:(fun () -> 0) in
+      let before = sent () in
       let pushed =
         ok (Kernel.Os.readdir_filtered os "/d" ~prog:"flt")
         |> List.map row |> List.sort compare
       in
+      (* Resolving "/d" costs two requests (GETATTR of the root, then of
+         /d); the whole scan of its 40 entries costs one more. *)
+      if requests <> None then
+        Alcotest.(check int) "requests per filtered scan" 3 (sent () - before);
       Alcotest.(check bool) "some entries survive" true (plain <> []);
       Alcotest.(check int)
         "same number of rows" (List.length plain) (List.length pushed);
@@ -224,7 +232,10 @@ let test_filter_equiv_bento () =
 
 let test_filter_equiv_fuse () =
   with_seed (fun seed ->
-      with_fuse (fun machine os -> check_filter_equivalence machine os seed))
+      with_fuse (fun machine os h ->
+          check_filter_equivalence
+            ~requests:(fun () -> fuse_requests h)
+            machine os seed))
 
 let check_walk_equivalence seed =
   with_xv6 (fun machine os _vfs _h ->
